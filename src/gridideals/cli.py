@@ -14,15 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import covering, game, gridmaps, monotone, presentations, transfer
-from .covering import (
-    GRAPH,
-    NONDECREASING_GRAPH,
-    RANKED_CHAIN,
-    SPARSE_CHAIN,
-    VERTICAL_LINE,
-)
-
-_KNOWN_KINDS = (VERTICAL_LINE, SPARSE_CHAIN, GRAPH, NONDECREASING_GRAPH, RANKED_CHAIN)
+from .covering import RANKED_CHAIN
 
 _IDEALS = {
     "WR": presentations.WR,
@@ -48,6 +40,18 @@ def _read_payload(path: str | None):
     return json.loads(text)
 
 
+def _is_natural(x) -> bool:
+    # JSON true and false decode to bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _naturals(payload, key: str) -> list:
+    values = payload.get(key) if isinstance(payload, dict) else payload
+    if not (isinstance(values, list) and all(_is_natural(v) for v in values)):
+        raise CliError(f"expected a JSON array of nonnegative integer {key}")
+    return values
+
+
 def _points(payload) -> tuple:
     if isinstance(payload, dict):
         payload = payload.get("points", payload)
@@ -58,7 +62,7 @@ def _points(payload) -> tuple:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise CliError(f"not a [col,row] pair: {entry!r}")
         c, r = entry
-        if not (isinstance(c, int) and isinstance(r, int)) or c < 0 or r < 0:
+        if not (_is_natural(c) and _is_natural(r)):
             raise CliError(f"coordinates must be nonnegative integers: {entry!r}")
         pts.append((c, r))
     return tuple(pts)
@@ -161,13 +165,13 @@ def _cmd_witness(args) -> int:
 def _cmd_oracle(args) -> int:
     kinds = tuple(k.strip() for k in args.kinds.split(","))
     for k in kinds:
-        if k not in _KNOWN_KINDS:
-            raise CliError(f"unknown kind {k!r}; choose from {_KNOWN_KINDS}")
+        if k not in covering.KINDS:
+            raise CliError(f"unknown kind {k!r}; choose from {covering.KINDS}")
     rank = gridmaps.RANK_CATALOG.get(args.rank) if args.rank else None
     if RANKED_CHAIN in kinds and rank is None:
         raise CliError("ranked-chain covers need --rank")
     pts = _points(_read_payload(args.input))
-    cert = covering.brute_force_cover(pts, kinds, limit=args.limit, rank=rank)
+    cert = covering.brute_force_cover(pts, kinds, rank=rank)
     _emit({"cost": cert.cost, "parts": cert.to_json()["parts"]})
     return 0
 
@@ -189,8 +193,7 @@ def _cmd_map(args) -> int:
             _emit({"values": [rank(p) for p in pts]})
             return 0
         if name == "wedge-zigzag":
-            payload = _read_payload(args.input)
-            indices = payload.get("indices") if isinstance(payload, dict) else payload
+            indices = _naturals(_read_payload(args.input), "indices")
             _emit({"points": [list(gridmaps.wedge_zigzag_point(n)) for n in indices]})
             return 0
         raise CliError(f"unknown map {name!r}")
@@ -200,8 +203,7 @@ def _cmd_map(args) -> int:
             _emit({"points": [list(gridmaps.triangle_unfold(p)) for p in pts]})
             return 0
         if name in gridmaps.RANK_CATALOG:
-            payload = _read_payload(args.input)
-            values = payload.get("values") if isinstance(payload, dict) else payload
+            values = _naturals(_read_payload(args.input), "values")
             rank = gridmaps.RANK_CATALOG[name]
             _emit({"preimages": [[list(p) for p in rank.preimages(v)] for v in values]})
             return 0
@@ -330,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
     oc = osub.add_parser("cover")
     oc.add_argument("--kinds", required=True, help="comma-separated generator kinds")
     oc.add_argument("--rank")
-    oc.add_argument("--limit", type=int, default=covering.ORACLE_LIMIT)
     oc.add_argument("--input")
     oc.set_defaults(fn=_cmd_oracle)
 

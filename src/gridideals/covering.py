@@ -2,24 +2,30 @@
 
 Every supported family is generated by vertical lines plus one kind of
 chain generator (sparse chains, graphs, nondecreasing graphs, or ranked
-chains).  All four chain kinds are decided pairwise and are closed under
-subsets, so a minimum cover is a minimum partition into compatible
-blocks.  A bitmask partition DP serves as the independent oracle; the
-structured solvers enumerate which occupied columns become whole lines
-and cover the remainder with a per-family polynomial routine.
+chains).  Each chain kind is a strict partial order on the grid (the
+order table in ``grid``), so a minimum cover is a minimum partition into
+lines and chains.  A bitmask partition DP serves as the independent
+oracle.  The structured solver for WR, EDup and WRpi is one driver: it
+tries which occupied columns become whole lines and counts the chains
+left with the family's routine.  ED has a closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import partial
+from itertools import combinations, zip_longest
 from typing import Iterable, Sequence
 
 from .grid import (
     Point,
     canonical_points,
+    graph_before,
+    is_chain,
     is_ranked_chain,
-    is_sparse_chain,
+    nondecreasing_before,
+    ranked,
+    sparse_before,
 )
 
 VERTICAL_LINE = "vertical-line"
@@ -30,8 +36,9 @@ RANKED_CHAIN = "ranked-chain"
 
 ORACLE_LIMIT = 12
 
-# Blocks that fit several kinds get the first matching label.
-_KIND_LABEL_ORDER = (SPARSE_CHAIN, NONDECREASING_GRAPH, GRAPH, RANKED_CHAIN, VERTICAL_LINE)
+# The generator kinds; the oracle labels a block that fits several with
+# the first of them.
+KINDS = (SPARSE_CHAIN, NONDECREASING_GRAPH, GRAPH, RANKED_CHAIN, VERTICAL_LINE)
 
 
 class IdealError(ValueError):
@@ -42,45 +49,30 @@ class OracleScaleError(ValueError):
     """Raised when the brute-force oracle is asked about too many points."""
 
 
-def _pair_compatible(kind: str, a: Point, b: Point, rank=None) -> bool:
-    lo, hi = (a, b) if a <= b else (b, a)
-    if kind == VERTICAL_LINE:
-        return lo[0] == hi[0]
-    if kind == SPARSE_CHAIN:
-        return hi[0] > lo[0] + lo[1]
-    if kind == GRAPH:
-        return lo[0] != hi[0]
-    if kind == NONDECREASING_GRAPH:
-        return lo[0] < hi[0] and lo[1] <= hi[1]
+_ORDERS = {
+    VERTICAL_LINE: lambda lo, hi: lo[0] == hi[0],
+    SPARSE_CHAIN: sparse_before,
+    GRAPH: graph_before,
+    NONDECREASING_GRAPH: nondecreasing_before,
+}
+
+
+def _order(kind: str, rank=None):
+    """The pair test of a kind: two points in canonical order lie in one
+    generator.  Every test is transitive, so consecutive points decide."""
     if kind == RANKED_CHAIN:
         if rank is None:
             raise ValueError("ranked chains need a rank map")
-        if lo[0] == hi[0]:
-            return False
-        return rank(hi) > rank(lo) and hi[0] >= rank(lo)
-    raise ValueError(f"unknown generator kind: {kind!r}")
+        return ranked(rank)
+    if kind not in _ORDERS:
+        raise ValueError(f"unknown generator kind: {kind!r}")
+    return _ORDERS[kind]
 
 
 def part_is_valid(kind: str, members: Iterable[Point], rank=None) -> bool:
     """Whether a point set is a trace of a single generator of the kind."""
     pts = canonical_points(members)
-    if not pts:
-        return False
-    if kind == VERTICAL_LINE:
-        return all(p[0] == pts[0][0] for p in pts)
-    if kind == SPARSE_CHAIN:
-        return is_sparse_chain(pts)
-    if kind == GRAPH:
-        return len({p[0] for p in pts}) == len(pts)
-    if kind == NONDECREASING_GRAPH:
-        if len({p[0] for p in pts}) != len(pts):
-            return False
-        return all(a[1] <= b[1] for a, b in zip(pts, pts[1:]))
-    if kind == RANKED_CHAIN:
-        if rank is None:
-            raise ValueError("ranked chains need a rank map")
-        return is_ranked_chain(rank, pts)
-    raise ValueError(f"unknown generator kind: {kind!r}")
+    return bool(pts) and is_chain(_order(kind, rank), pts)
 
 
 @dataclass(frozen=True)
@@ -119,9 +111,6 @@ class CoverCertificate:
                 for part in self.parts
             ],
         }
-
-
-_EMPTY_CERT = CoverCertificate(())
 
 
 @dataclass(frozen=True)
@@ -164,12 +153,14 @@ def _oracle_tables(pts, kinds, rank):
     size = 1 << n
     valid_any = bytearray(size)
     label = [None] * size
-    for kind in [k for k in _KIND_LABEL_ORDER if k in kinds]:
+    for kind in [k for k in KINDS if k in kinds]:
+        before = _order(kind, rank)
         rows = [0] * n
         for i in range(n):
-            for j in range(n):
-                if i != j and _pair_compatible(kind, pts[i], pts[j], rank):
+            for j in range(i + 1, n):
+                if before(pts[i], pts[j]):
                     rows[i] |= 1 << j
+                    rows[j] |= 1 << i
         vk = bytearray(size)
         for mask in range(1, size):
             low = mask & -mask
@@ -211,35 +202,35 @@ def _oracle_dp(pts, kinds, rank):
     return dp, choice, label
 
 
-def _check_oracle_input(points, kinds, limit):
-    unknown = [k for k in kinds if k not in _KIND_LABEL_ORDER]
+def _check_oracle_input(points, kinds):
+    unknown = [k for k in kinds if k not in KINDS]
     if unknown or not kinds:
         raise ValueError(f"unknown generator kinds: {unknown or kinds}")
     pts = canonical_points(points)
-    if len(pts) > limit:
+    if len(pts) > ORACLE_LIMIT:
         raise OracleScaleError(
-            f"oracle scale exceeded: {len(pts)} points, limit {limit}"
+            f"oracle scale exceeded: {len(pts)} points, limit {ORACLE_LIMIT}"
         )
     return pts
 
 
-def oracle_cover_cost(points, kinds, limit: int = ORACLE_LIMIT, rank=None) -> int:
+def oracle_cover_cost(points, kinds, rank=None) -> int:
     """Minimum cover cost by exhaustive partition search, cost only."""
     kinds = tuple(kinds)
-    pts = _check_oracle_input(points, kinds, limit)
+    pts = _check_oracle_input(points, kinds)
     if not pts:
         return 0
-    dp, _, _ = _oracle_dp(pts, tuple(kinds), rank)
+    dp, _, _ = _oracle_dp(pts, kinds, rank)
     return dp[(1 << len(pts)) - 1]
 
 
-def brute_force_cover(points, kinds, limit: int = ORACLE_LIMIT, rank=None) -> CoverCertificate:
+def brute_force_cover(points, kinds, rank=None) -> CoverCertificate:
     """Minimum cover by exhaustive search over partitions into generator
     traces of the admissible kinds; deterministic tie-breaking."""
     kinds = tuple(kinds)
-    pts = _check_oracle_input(points, kinds, limit)
+    pts = _check_oracle_input(points, kinds)
     if not pts:
-        return _EMPTY_CERT
+        return CoverCertificate(())
     dp, choice, label = _oracle_dp(pts, kinds, rank)
     parts = []
     mask = (1 << len(pts)) - 1
@@ -298,67 +289,6 @@ def sparse_chain_partition(points) -> list[tuple[Point, ...]]:
     return [tuple(ch) for ch in chains]
 
 
-def _split_by_columns(pts, line_cols):
-    lined = [p for p in pts if p[0] in line_cols]
-    rest = [p for p in pts if p[0] not in line_cols]
-    return lined, rest
-
-
-def _line_parts(pts, line_cols):
-    parts = []
-    for c in sorted(line_cols):
-        members = tuple(p for p in pts if p[0] == c)
-        parts.append(CoverPart(VERTICAL_LINE, members))
-    return parts
-
-
-def wr_cover_cost(points) -> int:
-    pts = canonical_points(points)
-    if not pts:
-        return 0
-    cols = sorted({p[0] for p in pts})
-    best = None
-    for size in range(len(cols) + 1):
-        if best is not None and size >= best:
-            break
-        for chosen in combinations(cols, size):
-            line_cols = set(chosen)
-            rest = [p for p in pts if p[0] not in line_cols]
-            cost = size + sparse_chain_cover_number(rest)
-            if best is None or cost < best:
-                best = cost
-    return best
-
-
-def wr_cover(points) -> tuple[int, CoverCertificate]:
-    """Minimum mixed cover by vertical lines and sparse chains.
-
-    Line subsets are enumerated by increasing size with branch-and-bound
-    pruning, so among minimum covers one with the fewest lines wins.
-    """
-    pts = canonical_points(points)
-    if not pts:
-        return 0, _EMPTY_CERT
-    cols = sorted({p[0] for p in pts})
-    best = None
-    best_lines = ()
-    for size in range(len(cols) + 1):
-        if best is not None and size >= best:
-            break
-        for chosen in combinations(cols, size):
-            line_cols = set(chosen)
-            rest = [p for p in pts if p[0] not in line_cols]
-            cost = size + sparse_chain_cover_number(rest)
-            if best is None or cost < best:
-                best = cost
-                best_lines = chosen
-    line_cols = set(best_lines)
-    _, rest = _split_by_columns(pts, line_cols)
-    parts = _line_parts(pts, line_cols)
-    parts.extend(CoverPart(SPARSE_CHAIN, ch) for ch in sparse_chain_partition(rest))
-    return best, CoverCertificate(tuple(parts))
-
-
 def _column_groups(pts):
     groups: dict[int, list[Point]] = {}
     for p in pts:
@@ -366,74 +296,62 @@ def _column_groups(pts):
     return groups
 
 
-def ed_cover_cost(points) -> int:
-    pts = canonical_points(points)
-    if not pts:
-        return 0
-    mults = sorted((len(g) for g in _column_groups(pts).values()), reverse=True)
-    best = None
-    for s in range(len(mults) + 1):
-        cost = s + (mults[s] if s < len(mults) else 0)
-        if best is None or cost < best:
-            best = cost
-    return best
+def _graph_partition(pts) -> list[tuple[Point, ...]]:
+    """Minimum partition into graphs: the i-th point of every column goes
+    to graph i, so there are as many graphs as the largest multiplicity."""
+    rows = zip_longest(*_column_groups(pts).values())
+    return [tuple(p for p in row if p is not None) for row in rows]
 
 
-def ed_cover(points) -> tuple[int, CoverCertificate]:
-    """Minimum mixed cover by vertical lines and graphs of functions.
+def _ed_lines(pts) -> tuple[int, list[int]]:
+    """Lines of a minimum cover by lines and graphs.
 
     Turning a column into a line zeroes its multiplicity, and the
     remainder needs exactly its maximum column multiplicity many graphs,
     so the optimum takes lines on the most populated columns only.
     """
-    pts = canonical_points(points)
-    if not pts:
-        return 0, _EMPTY_CERT
     groups = _column_groups(pts)
     order = sorted(groups, key=lambda c: (-len(groups[c]), c))
-    best = None
-    best_s = 0
-    for s in range(len(order) + 1):
-        tail = max((len(groups[c]) for c in order[s:]), default=0)
-        cost = s + tail
-        if best is None or cost < best:
-            best = cost
-            best_s = s
-    line_cols = set(order[:best_s])
-    parts = _line_parts(pts, line_cols)
-    depth = max((len(groups[c]) for c in order[best_s:]), default=0)
-    graphs: list[list[Point]] = [[] for _ in range(depth)]
-    for c in sorted(groups):
-        if c in line_cols:
-            continue
-        for i, p in enumerate(sorted(groups[c])):
-            graphs[i].append(p)
-    parts.extend(CoverPart(GRAPH, tuple(g)) for g in graphs)
-    return best, CoverCertificate(tuple(parts))
+    costs = [s + len(groups[c]) for s, c in enumerate(order)] + [len(order)]
+    s = costs.index(min(costs))
+    return costs[s], order[:s]
+
+
+def _augment(adj, match_right, root, seen) -> bool:
+    """Search for an augmenting path from left vertex root, depth first
+    with an explicit stack, and flip it when found.  Right vertices are
+    tried in ascending order, which fixes the matching found and so the
+    certificate."""
+    stack = [(root, iter(adj[root]))]
+    path: list[int] = []
+    while stack:
+        for j in stack[-1][1]:
+            if not seen[j]:
+                seen[j] = True
+                path.append(j)
+                if match_right[j] == -1:
+                    for (i, _), k in zip(stack, path):
+                        match_right[k] = i
+                    return True
+                stack.append((match_right[j], iter(adj[match_right[j]])))
+                break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+    return False
 
 
 def _nondecreasing_matching(pts):
-    """Maximum matching of the covering relation col< and row<=."""
+    """Maximum matching of the nondecreasing order, one augmenting path
+    search per left vertex."""
     n = len(pts)
     adj = [
-        [j for j in range(n) if pts[i][0] < pts[j][0] and pts[i][1] <= pts[j][1]]
+        [j for j in range(i + 1, n) if nondecreasing_before(pts[i], pts[j])]
         for i in range(n)
     ]
     match_right = [-1] * n
-
-    def augment(i, seen):
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_right[j] == -1 or augment(match_right[j], seen):
-                    match_right[j] = i
-                    return True
-        return False
-
-    size = 0
-    for i in range(n):
-        if augment(i, [False] * n):
-            size += 1
+    size = sum(_augment(adj, match_right, i, [False] * n) for i in range(n))
     return size, match_right
 
 
@@ -443,84 +361,23 @@ def nondecreasing_chain_partition(points) -> list[tuple[Point, ...]]:
     The chain count equals n minus the maximum matching size in the
     comparability relation, the usual minimum-path-cover argument.
     """
-    pts = list(canonical_points(points))
-    if not pts:
-        return []
+    pts = canonical_points(points)
     _, match_right = _nondecreasing_matching(pts)
-    succ: dict[int, int] = {}
-    has_pred = [False] * len(pts)
-    for j, i in enumerate(match_right):
-        if i != -1:
-            succ[i] = j
-            has_pred[j] = True
+    succ = {i: j for j, i in enumerate(match_right) if i != -1}
     chains = []
-    for i in range(len(pts)):
-        if has_pred[i]:
+    for start, pred in enumerate(match_right):
+        if pred != -1:
             continue
-        chain = [pts[i]]
-        k = i
-        while k in succ:
-            k = succ[k]
-            chain.append(pts[k])
-        chains.append(tuple(chain))
+        chain = [start]
+        while chain[-1] in succ:
+            chain.append(succ[chain[-1]])
+        chains.append(tuple(pts[k] for k in chain))
     return chains
 
 
 def _nondecreasing_chain_count(pts) -> int:
-    if not pts:
-        return 0
-    size, _ = _nondecreasing_matching(list(pts))
+    size, _ = _nondecreasing_matching(pts)
     return len(pts) - size
-
-
-def edup_cover_cost(points) -> int:
-    pts = canonical_points(points)
-    if not pts:
-        return 0
-    cols = sorted({p[0] for p in pts})
-    best = None
-    for size in range(len(cols) + 1):
-        if best is not None and size >= best:
-            break
-        for chosen in combinations(cols, size):
-            line_cols = set(chosen)
-            rest = [p for p in pts if p[0] not in line_cols]
-            if rest:
-                mult = max(len(g) for g in _column_groups(rest).values())
-                if best is not None and size + mult >= best:
-                    continue
-            cost = size + _nondecreasing_chain_count(rest)
-            if best is None or cost < best:
-                best = cost
-    return best
-
-
-def edup_cover(points) -> tuple[int, CoverCertificate]:
-    """Minimum mixed cover by vertical lines and nondecreasing graphs."""
-    pts = canonical_points(points)
-    if not pts:
-        return 0, _EMPTY_CERT
-    cols = sorted({p[0] for p in pts})
-    best = None
-    best_lines = ()
-    for size in range(len(cols) + 1):
-        if best is not None and size >= best:
-            break
-        for chosen in combinations(cols, size):
-            line_cols = set(chosen)
-            rest = [p for p in pts if p[0] not in line_cols]
-            cost = size + _nondecreasing_chain_count(rest)
-            if best is None or cost < best:
-                best = cost
-                best_lines = chosen
-    line_cols = set(best_lines)
-    _, rest = _split_by_columns(pts, line_cols)
-    parts = _line_parts(pts, line_cols)
-    parts.extend(
-        CoverPart(NONDECREASING_GRAPH, ch)
-        for ch in nondecreasing_chain_partition(rest)
-    )
-    return best, CoverCertificate(tuple(parts))
 
 
 def _ranked_chain_count(pts, rank) -> int:
@@ -533,31 +390,24 @@ def _ranked_chain_count(pts, rank) -> int:
     return oracle_cover_cost(pts, (RANKED_CHAIN,), rank=rank)
 
 
-def ranked_cover_cost(points, rank) -> int:
-    pts = canonical_points(points)
-    if not pts:
-        return 0
-    cols = sorted({p[0] for p in pts})
-    best = None
-    for size in range(len(cols) + 1):
-        if best is not None and size >= best:
-            break
-        for chosen in combinations(cols, size):
-            line_cols = set(chosen)
-            rest = [p for p in pts if p[0] not in line_cols]
-            cost = size + _ranked_chain_count(rest, rank)
-            if best is None or cost < best:
-                best = cost
-    return best
+def _ranked_chain_partition(pts, rank) -> list[tuple[Point, ...]]:
+    if pts and is_ranked_chain(rank, pts):
+        return [tuple(pts)]
+    return [part.members for part in brute_force_cover(pts, (RANKED_CHAIN,), rank=rank).parts]
 
 
-def ranked_cover(points, rank) -> tuple[int, CoverCertificate]:
-    """Mixed cover for a ranked family; chain covering is brute force, so
-    this is a desk-scale solver (at most ORACLE_LIMIT off-line points)."""
-    pts = canonical_points(points)
-    if not pts:
-        return 0, _EMPTY_CERT
-    cols = sorted({p[0] for p in pts})
+def _best_lines(pts, chain_count) -> tuple[int, tuple[int, ...]]:
+    """Fewest generators covering pts by lines on some occupied columns
+    and chains on the remaining points, with the lines used.
+
+    Line subsets are tried by increasing size, so among minimum covers the
+    first with the fewest lines, in ``combinations`` order, wins.  A chain
+    holds at most one point per column, so a subset whose size plus the
+    largest remaining multiplicity reaches the best cost cannot beat it
+    and is skipped without counting chains.
+    """
+    groups = _column_groups(pts)
+    cols = sorted(groups)
     best = None
     best_lines = ()
     for size in range(len(cols) + 1):
@@ -565,60 +415,61 @@ def ranked_cover(points, rank) -> tuple[int, CoverCertificate]:
             break
         for chosen in combinations(cols, size):
             line_cols = set(chosen)
-            rest = [p for p in pts if p[0] not in line_cols]
-            cost = size + _ranked_chain_count(rest, rank)
+            if best is not None:
+                mult = max((len(groups[c]) for c in cols if c not in line_cols), default=0)
+                if size + mult >= best:
+                    continue
+            cost = size + chain_count([p for p in pts if p[0] not in line_cols])
             if best is None or cost < best:
                 best = cost
                 best_lines = chosen
-    line_cols = set(best_lines)
-    _, rest = _split_by_columns(pts, line_cols)
-    parts = _line_parts(pts, line_cols)
-    if rest:
-        if is_ranked_chain(rank, rest):
-            parts.append(CoverPart(RANKED_CHAIN, tuple(rest)))
-        else:
-            cert = brute_force_cover(rest, (RANKED_CHAIN,), rank=rank)
-            parts.extend(cert.parts)
-    return best, CoverCertificate(tuple(parts))
+    return best, best_lines
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
 
-def _family_of(ideal):
+def _solve(ideal, pts):
+    """Cost and line columns of a minimum cover of pts, with the chain kind
+    and the routine that partitions the points off the lines."""
     if isinstance(ideal, str):
-        return ideal, None
-    return getattr(ideal, "family", None), getattr(ideal, "rank_map", None)
+        family, rank = ideal, None
+    else:
+        family, rank = getattr(ideal, "family", None), getattr(ideal, "rank_map", None)
+    if family == "ED":
+        return (*_ed_lines(pts), GRAPH, _graph_partition)
+    if family == "WR":
+        kind, count, partition = SPARSE_CHAIN, sparse_chain_cover_number, sparse_chain_partition
+    elif family == "EDup":
+        kind, count = NONDECREASING_GRAPH, _nondecreasing_chain_count
+        partition = nondecreasing_chain_partition
+    elif family == "WRpi":
+        if rank is None:
+            raise IdealError("ranked family without a rank map")
+        kind, count = RANKED_CHAIN, partial(_ranked_chain_count, rank=rank)
+        partition = partial(_ranked_chain_partition, rank=rank)
+    else:
+        raise IdealError(f"no generator system: {family!r}")
+    return (*_best_lines(pts, count), kind, partition)
 
 
 def phi(ideal, points) -> tuple[int, CoverCertificate]:
-    """Minimum mixed cover cost and a witnessing certificate."""
-    family, rank = _family_of(ideal)
-    if family == "WR":
-        return wr_cover(points)
-    if family == "ED":
-        return ed_cover(points)
-    if family == "EDup":
-        return edup_cover(points)
-    if family == "WRpi":
-        if rank is None:
-            raise IdealError("ranked family without a rank map")
-        return ranked_cover(points, rank)
-    raise IdealError(f"no generator system: {family!r}")
+    """Minimum mixed cover cost and a witnessing certificate.
+
+    Among minimum covers the certificate uses the fewest lines."""
+    pts = canonical_points(points)
+    cost, lines, kind, partition = _solve(ideal, pts)
+    line_cols = set(lines)
+    parts = [
+        CoverPart(VERTICAL_LINE, tuple(p for p in pts if p[0] == c))
+        for c in sorted(line_cols)
+    ]
+    rest = [p for p in pts if p[0] not in line_cols]
+    parts.extend(CoverPart(kind, chain) for chain in partition(rest))
+    return cost, CoverCertificate(tuple(parts))
 
 
 def phi_cost(ideal, points) -> int:
     """Cover cost only, skipping certificate construction."""
-    family, rank = _family_of(ideal)
-    if family == "WR":
-        return wr_cover_cost(points)
-    if family == "ED":
-        return ed_cover_cost(points)
-    if family == "EDup":
-        return edup_cover_cost(points)
-    if family == "WRpi":
-        if rank is None:
-            raise IdealError("ranked family without a rank map")
-        return ranked_cover_cost(points, rank)
-    raise IdealError(f"no generator system: {family!r}")
+    return _solve(ideal, canonical_points(points))[0]

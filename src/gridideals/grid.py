@@ -1,7 +1,11 @@
-"""Grid points, orderings, and the pair colorings everything else shares."""
+"""Grid points, orderings, and the chain orders everything else shares.
+
+Each chain order before(lo, hi) is a strict partial order implying lex order.
+"""
 
 from __future__ import annotations
 
+from itertools import pairwise
 from typing import Callable, Iterable
 
 Point = tuple[int, int]
@@ -29,53 +33,49 @@ def lex_before(a: Point, b: Point) -> bool:
     return a < b
 
 
-def sparse_pair_color(a: Point, b: Point) -> int:
-    """0 when the pair fits inside one sparse chain, 1 otherwise.
+def sparse_before(lo: Point, hi: Point) -> bool:
+    return hi[0] > lo[0] + lo[1]
 
-    Ordering the two points lexicographically, color 0 means the larger
-    point's column exceeds the smaller point's coordinate sum.  Symmetric
-    in its arguments; defined on distinct points only.
-    """
+
+def graph_before(lo: Point, hi: Point) -> bool:
+    return lo[0] < hi[0]
+
+
+def nondecreasing_before(lo: Point, hi: Point) -> bool:
+    return lo[0] < hi[0] and lo[1] <= hi[1]
+
+
+def ranked(rank: Callable[[Point], int]) -> Callable[[Point, Point], bool]:
+    """Columns and ranks strictly increase; hi's column reaches lo's rank."""
+    return lambda lo, hi: lo[0] < hi[0] and rank(hi) > rank(lo) and hi[0] >= rank(lo)
+
+
+def is_chain(before: Callable[[Point, Point], bool], points: Iterable[Point]) -> bool:
+    """Whether every pair is comparable: consecutive canonical points decide it."""
+    return all(before(a, b) for a, b in pairwise(canonical_points(points)))
+
+
+def _pair_color(before, a: Point, b: Point) -> int:
     if a == b:
         raise ValueError("pair required")
-    lo, hi = (a, b) if a < b else (b, a)
-    return 0 if hi[0] > lo[0] + lo[1] else 1
+    return 0 if before(min(a, b), max(a, b)) else 1
+
+
+def sparse_pair_color(a: Point, b: Point) -> int:
+    """0 when two distinct points fit in one sparse chain, 1 otherwise."""
+    return _pair_color(sparse_before, a, b)
 
 
 def nondecreasing_pair_color(a: Point, b: Point) -> int:
     """0 when the pair fits on the graph of a nondecreasing function."""
-    if a == b:
-        raise ValueError("pair required")
-    lo, hi = (a, b) if a < b else (b, a)
-    return 0 if lo[0] < hi[0] and lo[1] <= hi[1] else 1
+    return _pair_color(nondecreasing_before, a, b)
 
 
 def is_sparse_chain(points: Iterable[Point]) -> bool:
-    """True when every pair is mutually sparse: each later column lies
-    beyond the earlier point's coordinate sum.
-
-    Checking consecutive points of the canonical enumeration suffices
-    because columns are nondecreasing along it.  Empty sets and singletons
-    qualify.
-    """
-    pts = canonical_points(points)
-    for a, b in zip(pts, pts[1:]):
-        if b[0] <= a[0] + a[1]:
-            return False
-    return True
+    """True when every pair is mutually sparse."""
+    return is_chain(sparse_before, points)
 
 
 def is_ranked_chain(rank: Callable[[Point], int], points: Iterable[Point]) -> bool:
-    """Chain condition for a ranked family.
-
-    Columns strictly increase, ranks strictly increase, and every point's
-    column is at least the rank of each earlier point.  As with sparse
-    chains, consecutive pairs of the canonical enumeration decide it.
-    """
-    pts = canonical_points(points)
-    for a, b in zip(pts, pts[1:]):
-        if b[0] <= a[0]:
-            return False
-        if rank(b) <= rank(a) or b[0] < rank(a):
-            return False
-    return True
+    """Chain condition for a ranked family."""
+    return is_chain(ranked(rank), points)

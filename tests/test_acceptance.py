@@ -47,9 +47,6 @@ from gridideals.covering import (
     NONDECREASING_GRAPH,
     SPARSE_CHAIN,
     VERTICAL_LINE,
-    ed_cover_cost,
-    edup_cover_cost,
-    wr_cover_cost,
 )
 from support import (
     MON_FAMILY_MAKERS,
@@ -65,9 +62,9 @@ def _report(number: int, text: str) -> None:
 
 def _check_against_oracle(pts) -> None:
     assert sparse_chain_cover_number(pts) == oracle_cover_cost(pts, (SPARSE_CHAIN,))
-    assert wr_cover_cost(pts) == oracle_cover_cost(pts, (VERTICAL_LINE, SPARSE_CHAIN))
-    assert ed_cover_cost(pts) == oracle_cover_cost(pts, (VERTICAL_LINE, GRAPH))
-    assert edup_cover_cost(pts) == oracle_cover_cost(pts, (VERTICAL_LINE, NONDECREASING_GRAPH))
+    assert phi_cost("WR", pts) == oracle_cover_cost(pts, (VERTICAL_LINE, SPARSE_CHAIN))
+    assert phi_cost("ED", pts) == oracle_cover_cost(pts, (VERTICAL_LINE, GRAPH))
+    assert phi_cost("EDup", pts) == oracle_cover_cost(pts, (VERTICAL_LINE, NONDECREASING_GRAPH))
 
 
 def test_criterion_1_oracle_equivalence():
@@ -106,7 +103,7 @@ def test_criterion_3_triangle_fold():
     rng = random.Random(303)
     for _ in range(200):
         chain = random_sparse_chain(rng, 10)
-        assert edup_cover_cost([triangle_fold(p) for p in chain]) <= 2
+        assert phi_cost("EDup", [triangle_fold(p) for p in chain]) <= 2
     line_samples = []
     for c in range(8):
         line_samples.append([(c, r) for r in range(10)])
@@ -114,7 +111,7 @@ def test_criterion_3_triangle_fold():
             rows = sorted(rng.sample(range(30), 10))
             line_samples.append([(c, r) for r in rows])
     for sample in line_samples:
-        assert edup_cover_cost([triangle_fold(p) for p in sample]) <= 2
+        assert phi_cost("EDup", [triangle_fold(p) for p in sample]) <= 2
     _report(3, "fold is a bijection on 40x40 and sends generator samples to cost <= 2")
 
 
@@ -268,7 +265,7 @@ def test_criterion_9_adversarial_sequence():
         for idx in _monotone_index_sets(values, 6, 20000, nonincreasing):
             pts = [points[i] for i in idx]
             level = max(wedge_class_level(p) for p in pts)
-            cost = edup_cover_cost(pts)
+            cost = phi_cost("EDup", pts)
             assert cost <= 2 * (1 + level)
             if not nonincreasing:
                 assert cost <= 2

@@ -3,6 +3,8 @@ import io
 import json
 import sys
 
+import pytest
+
 from gridideals import cli
 
 
@@ -70,6 +72,12 @@ def test_oracle_command():
     assert code == 1
 
 
+def test_oracle_has_no_limit_flag():
+    # ORACLE_LIMIT is the one size cap; argparse refuses the removed flag
+    with pytest.raises(SystemExit):
+        run_cli(["oracle", "cover", "--kinds", "graph", "--limit", "40"], "[]")
+
+
 def test_game_determinism():
     argv = ["game", "play", "--rounds", "12", "--seed", "5"]
     code1, out1 = run_cli(argv)
@@ -133,6 +141,21 @@ def test_bad_points_rejected():
     assert code == 1
     code, out = run_cli(["phi", "--ideal", "WR"], "[[0]]")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["phi", "--ideal", "WR"], "[[true,false]]"),
+        (["map", "invert", "--name", "diag-rank"], "[-3]"),
+        (["map", "invert", "--name", "diag-rank"], '["a"]'),
+        (["map", "invert", "--name", "diag-rank"], "[true]"),
+        (["map", "apply", "--name", "wedge-zigzag"], "[true]"),
+    ],
+)
+def test_non_natural_inputs_rejected(argv, payload):
+    code, out = run_cli(argv, payload)
+    assert code == 1 and "error" in json.loads(out)
 
 
 def test_outputs_byte_identical():

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -22,12 +23,8 @@ from gridideals.covering import (
     GRAPH,
     NONDECREASING_GRAPH,
     RANKED_CHAIN,
-    ed_cover,
-    edup_cover,
     nondecreasing_chain_partition,
-    ranked_cover,
     sparse_chain_partition,
-    wr_cover,
 )
 from support import random_points, random_sparse_chain, random_witness_family
 
@@ -122,7 +119,7 @@ def test_ranked_cover_matches_oracle():
             assert structured == oracle_cover_cost(
                 pts, (VERTICAL_LINE, RANKED_CHAIN), rank=rank
             )
-            cost, cert = ranked_cover(pts, rank)
+            cost, cert = phi(ideal, pts)
             assert cost == structured
             assert cert.validate(pts, rank=rank)
 
@@ -158,8 +155,8 @@ def test_certificates_validate():
     rng = random.Random(37)
     for _ in range(40):
         pts = random_points(rng, 8, 8, 6)
-        for solver in (wr_cover, ed_cover, edup_cover):
-            cost, cert = solver(pts)
+        for family in ("WR", "ED", "EDup"):
+            cost, cert = phi(family, pts)
             assert cert.cost == cost
             assert cert.validate(pts)
         cert = brute_force_cover(pts, (VERTICAL_LINE, SPARSE_CHAIN))
@@ -182,9 +179,9 @@ def test_prefix_monotone_shadow():
 
 def test_wr_certificate_prefers_fewer_lines():
     # a lone column is one line; scattered sparse points stay one chain
-    cost, cert = wr_cover([(0, j) for j in range(4)])
+    cost, cert = phi("WR", [(0, j) for j in range(4)])
     assert cost == 1 and cert.parts[0].kind == VERTICAL_LINE
-    cost, cert = wr_cover(random_sparse_chain(random.Random(1), 6))
+    cost, cert = phi("WR", random_sparse_chain(random.Random(1), 6))
     assert cost == 1 and cert.parts[0].kind == SPARSE_CHAIN
 
 
@@ -197,3 +194,53 @@ def test_partition_helpers_are_valid_partitions():
         assert len(chains) == sparse_chain_cover_number(pts)
         nd = nondecreasing_chain_partition(pts)
         assert sorted(p for ch in nd for p in ch) == sorted(pts)
+
+
+def _first_fewest_lines(pts, chain_kind, rank=None):
+    """Line columns of the first minimum cover in the order of line
+    subsets by size, then ``combinations`` order, chains by the oracle."""
+    cols = sorted({p[0] for p in pts})
+    costs = {}
+    for size in range(len(cols) + 1):
+        for lines in combinations(cols, size):
+            rest = [p for p in pts if p[0] not in lines]
+            costs[lines] = size + oracle_cover_cost(rest, (chain_kind,), rank=rank)
+    best = min(costs.values())
+    return next(lines for lines, cost in costs.items() if cost == best)
+
+
+def test_certificate_lines_are_fewest_among_minimum_covers():
+    from gridideals import MAX_RANK
+
+    rng = random.Random(53)
+    cases = [("WR", SPARSE_CHAIN, None), ("EDup", NONDECREASING_GRAPH, None)]
+    cases += [(wr_pi(rank), RANKED_CHAIN, rank) for rank in (DIAG_RANK, MAX_RANK)]
+    for ideal, chain_kind, rank in cases:
+        for _ in range(40):
+            pts = random_points(rng, 5, 6, 8)
+            cost, cert = phi(ideal, pts)
+            lines = tuple(part.members[0][0] for part in cert.parts if part.kind == VERTICAL_LINE)
+            assert lines == _first_fewest_lines(pts, chain_kind, rank), (ideal, pts)
+            assert cost == oracle_cover_cost(pts, (VERTICAL_LINE, chain_kind), rank=rank)
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_chain_partition_independent_of_recursion_limit():
+    # augmenting paths in this set run about 170 vertices deep
+    rng = random.Random(0)
+    pts = rng.sample([(c, r) for c in range(60) for r in range(60)], 400)
+    expected = nondecreasing_chain_partition(pts)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        shallow = nondecreasing_chain_partition(pts)
+    finally:
+        sys.setrecursionlimit(old)
+    assert shallow == expected
+    assert sorted(p for chain in shallow for p in chain) == sorted(pts)

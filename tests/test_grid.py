@@ -4,12 +4,20 @@ from itertools import combinations
 import pytest
 
 from gridideals import (
+    RANK_CATALOG,
     canonical_points,
     is_sparse_chain,
     lex_before,
     nondecreasing_pair_color,
     sparse_pair_color,
     window_points,
+)
+from gridideals.grid import (
+    graph_before,
+    is_chain,
+    nondecreasing_before,
+    ranked,
+    sparse_before,
 )
 from support import random_sparse_chain
 
@@ -80,3 +88,29 @@ def test_equal_columns_never_jointly_sparse():
 
 def test_canonical_points_sorted_dedup():
     assert canonical_points([(2, 1), (0, 3), (2, 1)]) == ((0, 3), (2, 1))
+
+
+def _orders():
+    named = {"sparse": sparse_before, "graph": graph_before, "nondecreasing": nondecreasing_before}
+    named.update({name: ranked(rank) for name, rank in RANK_CATALOG.items()})
+    return named
+
+
+def test_chain_orders_are_strict_partial_orders():
+    pts = window_points(9)
+    for name, before in _orders().items():
+        above = {a: {b for b in pts if before(a, b)} for a in pts}
+        for a in pts:
+            assert a not in above[a], (name, a)
+            assert all(a < b for b in above[a]), (name, a)
+            for b in above[a]:
+                assert above[b] <= above[a], (name, a, b)
+
+
+def test_is_chain_matches_all_pairs():
+    pts = window_points(5)
+    for name, before in _orders().items():
+        for size in range(5):
+            for sub in combinations(pts, size):
+                pairwise = all(before(a, b) for a, b in combinations(sorted(sub), 2))
+                assert is_chain(before, sub) == pairwise, (name, sub)
