@@ -89,15 +89,26 @@ def _parse_limit(text):
     return Fraction(text)
 
 
+def _natural_field(obj: dict, key: str, default: int) -> int:
+    value = obj.get(key, default)
+    if not _is_natural(value):
+        raise CliError(f"{key} must be a nonnegative integer: {value!r}")
+    return value
+
+
 def _column_from_json(obj) -> monotone.ColumnSpec:
+    if not isinstance(obj, dict):
+        raise CliError(f"a column must be a JSON object: {obj!r}")
     mode = obj.get("mode")
     limit = _parse_limit(str(obj.get("limit")))
-    a, b = obj.get("jmap", [1, 0])
-    if a < 1:
-        raise CliError("jmap slope must be at least 1")
+    jmap = obj.get("jmap", [1, 0])
+    natural_pair = isinstance(jmap, list) and len(jmap) == 2 and all(map(_is_natural, jmap))
+    if not (natural_pair and jmap[0] >= 1):
+        raise CliError(f"jmap must be two nonnegative integers, slope at least 1: {jmap!r}")
+    a, b = jmap
     jmap = (lambda a, b: lambda k: a * k + b)(a, b)
     style = obj.get("style", "approach")
-    threshold = int(obj.get("threshold", 0))
+    threshold = _natural_field(obj, "threshold", 0)
     if mode == monotone.EVENTUALLY_CONSTANT:
         pivot = jmap(threshold)
 
@@ -132,12 +143,27 @@ def _column_from_json(obj) -> monotone.ColumnSpec:
 
 
 def _family_from_json(obj) -> monotone.SequenceFamily:
-    cols = obj.get("columns")
+    cols = obj.get("columns") if isinstance(obj, dict) else None
     if not isinstance(cols, list) or not cols:
         raise CliError("descriptor needs a nonempty columns array")
     return monotone.SequenceFamily(
-        tuple(_column_from_json(c) for c in cols), int(obj.get("depth", 512))
+        tuple(_column_from_json(c) for c in cols), _natural_field(obj, "depth", 512)
     )
+
+
+def _mon_certificate_from_json(obj) -> monotone.MonCertificate:
+    if not isinstance(obj, dict):
+        raise CliError("certificate must be a JSON object")
+    _naturals(obj, "indices")
+    _points(obj.get("points"))
+    witnesses = obj.get("witnesses", [])
+    if not isinstance(witnesses, list):
+        raise CliError("witnesses must be a JSON array")
+    for w in witnesses:
+        if not isinstance(w, dict):
+            raise CliError(f"a witness must be a JSON object: {w!r}")
+        _points(w.get("points"))
+    return monotone.MonCertificate.from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +306,10 @@ def _cmd_mon(args) -> int:
         _emit(cert.to_json())
         return 0
     if args.mon_cmd == "verify":
+        if not (isinstance(payload, dict) and {"descriptor", "certificate"} <= payload.keys()):
+            raise CliError("mon verify takes an object with descriptor and certificate")
         fam = _family_from_json(payload["descriptor"])
-        cert = monotone.MonCertificate.from_json(payload["certificate"])
+        cert = _mon_certificate_from_json(payload["certificate"])
         result = monotone.verify_certificate(cert, index_map, fam)
         _emit({"ok": result.ok, "reasons": list(result.reasons)})
         return 0 if result.ok else 2

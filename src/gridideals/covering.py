@@ -4,10 +4,11 @@ Every supported family is generated by vertical lines plus one kind of
 chain generator (sparse chains, graphs, nondecreasing graphs, or ranked
 chains).  Each chain kind is a strict partial order on the grid (the
 order table in ``grid``), so a minimum cover is a minimum partition into
-lines and chains.  A bitmask partition DP serves as the independent
-oracle.  The structured solver for WR, EDup and WRpi is one driver: it
-tries which occupied columns become whole lines and counts the chains
-left with the family's routine.  ED has a closed form.
+lines and chains, and its cost is the number of parts.  A bitmask
+partition DP serves as the independent oracle.  The structured solver
+for WR, EDup and WRpi is one driver: it tries which occupied columns
+become whole lines and partitions the rest with the family's one chain
+routine.  ED has a closed form.
 """
 
 from __future__ import annotations
@@ -247,33 +248,8 @@ def brute_force_cover(points, kinds, rank=None) -> CoverCertificate:
 # structured solvers
 
 
-def sparse_chain_cover_number(points) -> int:
-    """Minimum number of sparse chains covering the set.
-
-    Two points share a chain exactly when their spans [col, col+row] are
-    disjoint, so this is the clique-cover number of an interval graph:
-    the maximum number of spans through a common coordinate.  The
-    reformulation is validated against the brute-force oracle in the test
-    suite rather than assumed.
-    """
-    pts = canonical_points(points)
-    if not pts:
-        return 0
-    events = []
-    for c, r in pts:
-        events.append((c, 1))
-        events.append((c + r + 1, -1))
-    events.sort()
-    load = best = 0
-    for _, delta in events:
-        load += delta
-        if load > best:
-            best = load
-    return best
-
-
 def sparse_chain_partition(points) -> list[tuple[Point, ...]]:
-    """Optimal partition into sparse chains: first fit in span order."""
+    """Optimal partition into sparse chains: first fit in canonical order."""
     pts = canonical_points(points)
     chains: list[list[Point]] = []
     ends: list[int] = []
@@ -287,6 +263,21 @@ def sparse_chain_partition(points) -> list[tuple[Point, ...]]:
             chains.append([p])
             ends.append(p[0] + p[1])
     return [tuple(ch) for ch in chains]
+
+
+def sparse_chain_cover_number(points) -> int:
+    """Minimum number of sparse chains covering the set.
+
+    Two points share a chain exactly when their spans [col, col+row] are
+    disjoint.  First fit in canonical order is optimal: a chain only
+    takes a point p when the span of its last point ends before p's
+    column, and that last point's column is at most p's.  So when first
+    fit opens a new chain for p, the last spans of the k open chains
+    all contain p's column, as p's span does.  These k+1 spans pairwise
+    overlap, no two of their points share a chain, and every cover needs
+    k+1 chains.
+    """
+    return len(sparse_chain_partition(points))
 
 
 def _column_groups(pts):
@@ -303,7 +294,7 @@ def _graph_partition(pts) -> list[tuple[Point, ...]]:
     return [tuple(p for p in row if p is not None) for row in rows]
 
 
-def _ed_lines(pts) -> tuple[int, list[int]]:
+def _ed_lines(pts) -> list[int]:
     """Lines of a minimum cover by lines and graphs.
 
     Turning a column into a line zeroes its multiplicity, and the
@@ -313,8 +304,7 @@ def _ed_lines(pts) -> tuple[int, list[int]]:
     groups = _column_groups(pts)
     order = sorted(groups, key=lambda c: (-len(groups[c]), c))
     costs = [s + len(groups[c]) for s, c in enumerate(order)] + [len(order)]
-    s = costs.index(min(costs))
-    return costs[s], order[:s]
+    return order[: costs.index(min(costs))]
 
 
 def _augment(adj, match_right, root, seen) -> bool:
@@ -342,27 +332,22 @@ def _augment(adj, match_right, root, seen) -> bool:
     return False
 
 
-def _nondecreasing_matching(pts):
-    """Maximum matching of the nondecreasing order, one augmenting path
-    search per left vertex."""
+def nondecreasing_chain_partition(points) -> list[tuple[Point, ...]]:
+    """Minimum partition into nondecreasing graphs via matching.
+
+    One augmenting path search per point matches it to a successor; the
+    n minus matching size points left without a predecessor start the
+    chains, the usual minimum-path-cover argument.
+    """
+    pts = canonical_points(points)
     n = len(pts)
     adj = [
         [j for j in range(i + 1, n) if nondecreasing_before(pts[i], pts[j])]
         for i in range(n)
     ]
     match_right = [-1] * n
-    size = sum(_augment(adj, match_right, i, [False] * n) for i in range(n))
-    return size, match_right
-
-
-def nondecreasing_chain_partition(points) -> list[tuple[Point, ...]]:
-    """Minimum partition into nondecreasing graphs via matching.
-
-    The chain count equals n minus the maximum matching size in the
-    comparability relation, the usual minimum-path-cover argument.
-    """
-    pts = canonical_points(points)
-    _, match_right = _nondecreasing_matching(pts)
+    for i in range(n):
+        _augment(adj, match_right, i, [False] * n)
     succ = {i: j for j, i in enumerate(match_right) if i != -1}
     chains = []
     for start, pred in enumerate(match_right):
@@ -375,41 +360,27 @@ def nondecreasing_chain_partition(points) -> list[tuple[Point, ...]]:
     return chains
 
 
-def _nondecreasing_chain_count(pts) -> int:
-    size, _ = _nondecreasing_matching(pts)
-    return len(pts) - size
-
-
-def _ranked_chain_count(pts, rank) -> int:
-    """Chain-cover count for a ranked family: brute force, except that a
-    set which already is one chain needs no search."""
-    if not pts:
-        return 0
-    if is_ranked_chain(rank, pts):
-        return 1
-    return oracle_cover_cost(pts, (RANKED_CHAIN,), rank=rank)
-
-
 def _ranked_chain_partition(pts, rank) -> list[tuple[Point, ...]]:
+    """Minimum partition into ranked chains: by the oracle, except that a
+    set which already is one chain needs no search."""
     if pts and is_ranked_chain(rank, pts):
         return [tuple(pts)]
     return [part.members for part in brute_force_cover(pts, (RANKED_CHAIN,), rank=rank).parts]
 
 
-def _best_lines(pts, chain_count) -> tuple[int, tuple[int, ...]]:
-    """Fewest generators covering pts by lines on some occupied columns
-    and chains on the remaining points, with the lines used.
+def _best_lines(pts, partition) -> tuple[tuple[int, ...], list[tuple[Point, ...]]]:
+    """Lines on some occupied columns and a chain partition of the other
+    points, together the fewest generators covering pts.
 
     Line subsets are tried by increasing size, so among minimum covers the
     first with the fewest lines, in ``combinations`` order, wins.  A chain
     holds at most one point per column, so a subset whose size plus the
     largest remaining multiplicity reaches the best cost cannot beat it
-    and is skipped without counting chains.
+    and is skipped without partitioning.
     """
     groups = _column_groups(pts)
     cols = sorted(groups)
     best = None
-    best_lines = ()
     for size in range(len(cols) + 1):
         if best is not None and size >= best:
             break
@@ -419,11 +390,11 @@ def _best_lines(pts, chain_count) -> tuple[int, tuple[int, ...]]:
                 mult = max((len(groups[c]) for c in cols if c not in line_cols), default=0)
                 if size + mult >= best:
                     continue
-            cost = size + chain_count([p for p in pts if p[0] not in line_cols])
-            if best is None or cost < best:
-                best = cost
-                best_lines = chosen
-    return best, best_lines
+            chains = partition([p for p in pts if p[0] not in line_cols])
+            if best is None or size + len(chains) < best:
+                best = size + len(chains)
+                best_lines, best_chains = chosen, chains
+    return best_lines, best_chains
 
 
 # ---------------------------------------------------------------------------
@@ -431,27 +402,25 @@ def _best_lines(pts, chain_count) -> tuple[int, tuple[int, ...]]:
 
 
 def _solve(ideal, pts):
-    """Cost and line columns of a minimum cover of pts, with the chain kind
-    and the routine that partitions the points off the lines."""
+    """Chain kind, line columns and chains of a minimum cover of pts."""
     if isinstance(ideal, str):
         family, rank = ideal, None
     else:
         family, rank = getattr(ideal, "family", None), getattr(ideal, "rank_map", None)
     if family == "ED":
-        return (*_ed_lines(pts), GRAPH, _graph_partition)
+        lines = _ed_lines(pts)
+        return GRAPH, lines, _graph_partition([p for p in pts if p[0] not in lines])
     if family == "WR":
-        kind, count, partition = SPARSE_CHAIN, sparse_chain_cover_number, sparse_chain_partition
+        kind, partition = SPARSE_CHAIN, sparse_chain_partition
     elif family == "EDup":
-        kind, count = NONDECREASING_GRAPH, _nondecreasing_chain_count
-        partition = nondecreasing_chain_partition
+        kind, partition = NONDECREASING_GRAPH, nondecreasing_chain_partition
     elif family == "WRpi":
         if rank is None:
             raise IdealError("ranked family without a rank map")
-        kind, count = RANKED_CHAIN, partial(_ranked_chain_count, rank=rank)
-        partition = partial(_ranked_chain_partition, rank=rank)
+        kind, partition = RANKED_CHAIN, partial(_ranked_chain_partition, rank=rank)
     else:
         raise IdealError(f"no generator system: {family!r}")
-    return (*_best_lines(pts, count), kind, partition)
+    return (kind, *_best_lines(pts, partition))
 
 
 def phi(ideal, points) -> tuple[int, CoverCertificate]:
@@ -459,17 +428,13 @@ def phi(ideal, points) -> tuple[int, CoverCertificate]:
 
     Among minimum covers the certificate uses the fewest lines."""
     pts = canonical_points(points)
-    cost, lines, kind, partition = _solve(ideal, pts)
-    line_cols = set(lines)
-    parts = [
-        CoverPart(VERTICAL_LINE, tuple(p for p in pts if p[0] == c))
-        for c in sorted(line_cols)
-    ]
-    rest = [p for p in pts if p[0] not in line_cols]
-    parts.extend(CoverPart(kind, chain) for chain in partition(rest))
-    return cost, CoverCertificate(tuple(parts))
+    kind, lines, chains = _solve(ideal, pts)
+    parts = [CoverPart(VERTICAL_LINE, tuple(p for p in pts if p[0] == c)) for c in sorted(lines)]
+    parts.extend(CoverPart(kind, chain) for chain in chains)
+    cert = CoverCertificate(tuple(parts))
+    return cert.cost, cert
 
 
 def phi_cost(ideal, points) -> int:
-    """Cover cost only, skipping certificate construction."""
-    return _solve(ideal, canonical_points(points))[0]
+    """The cost of ``phi``."""
+    return phi(ideal, points)[0]

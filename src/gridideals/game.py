@@ -72,13 +72,10 @@ def blocking_strategy(exact: bool = False) -> Callable[[GameState], SetDescripto
             return SetDescriptor.build(range(top + 1), (), picks)
         if fam == "WRpi":
             rank = state.presentation.rank_map
-            top = max(max(p[0], rank(p) - 1) for p in picks)
-            low = {
-                q
-                for p in picks
-                for v in range(rank(p) + 1)
-                for q in rank.preimages(v)
-            }
+            level = max(rank(p) for p in picks)
+            top = max(max(p[0] for p in picks), level - 1)
+            # the sublevels are nested: one sublevel blocks every low rank
+            low = {q for v in range(level + 1) for q in rank.preimages(v)}
             return SetDescriptor.build(range(top + 1), (), low | set(picks))
         raise GameError(f"no blocking strategy for {fam!r}")
 

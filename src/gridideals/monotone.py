@@ -211,11 +211,12 @@ def _select_case(fam: SequenceFamily, need: int):
     groups: dict = {}
     for i in eligible:
         groups.setdefault(fam.columns[i].limit, []).append(i)
-    for value in sorted(groups, key=lambda v: (float(v), str(v))):
+    values = sorted(groups)
+    for value in values:
         ec = [i for i in groups[value] if fam.columns[i].mode == EVENTUALLY_CONSTANT]
         if len(ec) >= need:
             return CASE_CONSTANT_TERMS_CONSTANT, ec[:need]
-    for value in sorted(groups, key=lambda v: (float(v), str(v))):
+    for value in values:
         rising = [i for i in groups[value] if fam.columns[i].mode == NONDECREASING]
         if len(rising) >= need:
             return CASE_CONSTANT_TERMS_INCREASING, rising[:need]

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
-from .grid import Point, canonical_points, is_ranked_chain
+from .grid import Point, canonical_points, is_ranked_chain, ranked
 from .gridmaps import RankMap
 
 
@@ -336,17 +336,11 @@ def sample_range_chain(transfer: ChainTransfer, rng, max_len: int = 8, row_cap: 
             pool.append(transfer.apply((c, r)))
     pool = sorted(set(pool), key=lambda q: (transfer.pi(q), q))
     start = rng.choice(pool[: max(4, len(pool) // 8)])
+    before = ranked(transfer.pi)
     chain = [start]
     while len(chain) < max_len:
-        prev = chain[-1]
-        prev_rank = transfer.pi(prev)
-        admissible = [
-            q
-            for q in pool
-            if q[0] > prev[0] and q[0] >= prev_rank and transfer.pi(q) > prev_rank
-        ]
+        admissible = sorted(q for q in pool if before(chain[-1], q))
         if not admissible:
             break
-        admissible.sort()
         chain.append(rng.choice(admissible[:6]))
     return tuple(chain)

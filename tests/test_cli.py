@@ -158,6 +158,39 @@ def test_non_natural_inputs_rejected(argv, payload):
     assert code == 1 and "error" in json.loads(out)
 
 
+def _mon_column(**fields):
+    return {"mode": "eventually-constant", "limit": "2", "threshold": 2, **fields}
+
+
+def _mon_extract(*columns):
+    return ["mon", "extract", "--target-len", "2"], json.dumps({"columns": list(columns)})
+
+
+def _mon_verify(**certificate):
+    cert = {"indices": [0], "points": [[0, 0]], "direction": "increasing", "witnesses": []}
+    payload = {"descriptor": {"columns": [_mon_column()]}, "certificate": {**cert, **certificate}}
+    return ["mon", "verify"], json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["mon", "verify"], "[]"),
+        _mon_extract(_mon_column(jmap=["a", 0])),
+        _mon_extract({"mode": "nondecreasing", "limit": "1", "jmap": [1.5, 0]}),
+        _mon_extract({"mode": "nondecreasing", "limit": "1", "jmap": [1, -2]}),
+        _mon_extract(_mon_column(threshold=[2])),
+        _mon_extract(1),
+        _mon_verify(points=[5]),
+    ],
+    ids=["verify-array", "jmap-str", "jmap-float", "jmap-negative", "threshold-array",
+         "column-int", "cert-points-int"],
+)
+def test_malformed_mon_input_rejected(argv, payload):
+    code, out = run_cli(argv, payload)
+    assert code == 1 and "error" in json.loads(out)
+
+
 def test_outputs_byte_identical():
     pairs = [
         (["phi", "--ideal", "EDup"], "[[0,1],[1,0],[4,4]]"),

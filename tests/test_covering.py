@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import sys
 from itertools import combinations
@@ -6,7 +8,9 @@ import pytest
 
 from gridideals import (
     DIAG_RANK,
+    ED,
     EDUP,
+    RANK_CATALOG,
     SPARSE_CHAIN,
     VERTICAL_LINE,
     WR,
@@ -191,9 +195,10 @@ def test_partition_helpers_are_valid_partitions():
         pts = random_points(rng, 8, 8, 6)
         chains = sparse_chain_partition(pts)
         assert sorted(p for ch in chains for p in ch) == sorted(pts)
-        assert len(chains) == sparse_chain_cover_number(pts)
+        assert len(chains) == oracle_cover_cost(pts, (SPARSE_CHAIN,))
         nd = nondecreasing_chain_partition(pts)
         assert sorted(p for ch in nd for p in ch) == sorted(pts)
+        assert len(nd) == oracle_cover_cost(pts, (NONDECREASING_GRAPH,))
 
 
 def _first_fewest_lines(pts, chain_kind, rank=None):
@@ -244,3 +249,31 @@ def test_chain_partition_independent_of_recursion_limit():
         sys.setrecursionlimit(old)
     assert shallow == expected
     assert sorted(p for chain in shallow for p in chain) == sorted(pts)
+
+
+# sha256 over the certificate JSON of each set in turn, and the total cost:
+# any change to a certificate's bytes, its tie-breaks included, shows here
+CERTIFICATE_DIGESTS = {
+    "WR": ("2cf7ae3e419cc91f4ac56e65224958ecffc3100f9d0bea972fe7222b823b7491", 427),
+    "ED": ("98a17c236ee4c1b81af54c1f60a16c1d2830de0bd8b4c0a7a10dce32469a28eb", 278),
+    "EDup": ("6274b08e43371892bb795d595e377d2f5c1e53486dc7c18175039615185d4ef4", 369),
+    "WRpi/diag-rank": ("42f351dc389d1af6b8c6154cafbfca1411ee690b11cc52bb636b23b777d9658c", 409),
+    "WRpi/max-rank": ("37b353e5b5b653d7f99cd951325751865147d9b573c802aa192391eaaec93333", 399),
+    "WRpi/offset-rank": ("124deeccdc1cd65afdc654d459d0d253fd2a60251d6938b1c5bf223698e60b19", 403),
+    "WRpi/skew-rank": ("9de625a207c4bd82b8e3fab7509be0296bdf5cd51bebf48ce0463adf216066af", 444),
+}
+
+
+def test_certificates_match_recorded_digests():
+    ideals = {"WR": WR, "ED": ED, "EDup": EDUP}
+    ideals.update({f"WRpi/{name}": wr_pi(rank) for name, rank in RANK_CATALOG.items()})
+    got = {}
+    for name, ideal in ideals.items():
+        rng = random.Random(f"cert-{name}")
+        digest, total = hashlib.sha256(), 0
+        for _ in range(150):
+            cost, cert = phi(ideal, random_points(rng, 6, 8, 10))
+            digest.update(json.dumps(cert.to_json(), sort_keys=True).encode() + b"\n")
+            total += cost
+        got[name] = (digest.hexdigest(), total)
+    assert got == CERTIFICATE_DIGESTS
