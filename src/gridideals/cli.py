@@ -239,6 +239,8 @@ def _cmd_map(args) -> int:
             return 0
         raise CliError(f"unknown map {name!r}")
     if args.map_cmd == "verify":
+        if not 1 <= args.window <= transfer.MAX_WINDOW:
+            raise CliError(f"--window must be between 1 and {transfer.MAX_WINDOW}")
         failures = _verify_map(name, args.window)
         _emit({"name": name, "ok": not failures, "failures": failures})
         return 2 if failures else 0
@@ -277,6 +279,8 @@ def _verify_map(name: str, window: int) -> list[str]:
 
 
 def _cmd_game(args) -> int:
+    if args.rounds < 0:
+        raise CliError("--rounds must be nonnegative")
     ideal = _ideal_from_args(args)
     if args.opponent == "random":
         opponent = game.random_opponent(args.seed)

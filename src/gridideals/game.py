@@ -87,7 +87,7 @@ def empty_strategy(state: GameState) -> SetDescriptor:
 
 
 def least_lex_opponent(state: GameState, blocked: SetDescriptor) -> Point:
-    return pick_outside(blocked, "least-lex")
+    return pick_outside(blocked)
 
 
 def random_opponent(seed: int, spread: int = 8, row_spread: int = 12):
@@ -101,7 +101,7 @@ def random_opponent(seed: int, spread: int = 8, row_spread: int = 12):
             p = (rng.randint(0, hi), rng.randint(0, row_spread))
             if not blocked.contains(p):
                 return p
-        return pick_outside(blocked, "least-col-beyond", beyond=hi)
+        return pick_outside(blocked, beyond=hi)
 
     return opponent
 

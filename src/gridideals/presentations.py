@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .covering import IdealError
-from .grid import Point, canonical_points
-from .gridmaps import DIAG_RANK, RankMap
+from .grid import Point, canonical_points, ranked, sparse_before
+from .gridmaps import RankMap
 
 
 @dataclass(frozen=True)
@@ -144,12 +144,11 @@ def finite_points(points: Iterable[Point]) -> SetDescriptor:
     return SetDescriptor.build(points=points)
 
 
-def pick_outside(d: SetDescriptor, strategy: str = "least-lex", beyond: int | None = None) -> Point:
-    """A point outside the denoted set, chosen deterministically.
+def pick_outside(d: SetDescriptor, beyond: int = -1) -> Point:
+    """The least point outside the denoted set in a column past beyond.
 
-    least-lex scans columns from 0; least-col-beyond takes the first
-    not-fully-covered column past the given one.  No descriptor denotes
-    the whole grid, so both terminate.
+    Columns are scanned from beyond + 1, so the default scans from 0.  No
+    descriptor denotes the whole grid, so the scan terminates.
     """
     tails = dict(d.tails)
 
@@ -164,15 +163,7 @@ def pick_outside(d: SetDescriptor, strategy: str = "least-lex", beyond: int | No
             r += 1
         return None
 
-    if strategy == "least-lex":
-        start = 0
-    elif strategy == "least-col-beyond":
-        if beyond is None:
-            raise ValueError("least-col-beyond needs the column bound")
-        start = beyond + 1
-    else:
-        raise ValueError(f"unknown strategy: {strategy!r}")
-    c = start
+    c = beyond + 1
     while True:
         r = first_free_row(c)
         if r is not None:
@@ -287,16 +278,16 @@ def dense_subset(
 
     Descriptor universes: a column met infinitely often supplies n of its
     points.  Rule universes (membership callables): a greedy chain is
-    grown, each next point having a strictly larger column, column at
-    least the previous point's rank, and a strictly larger rank; ties
-    resolve to the lexicographically least admissible point.  Growing the
+    grown in the family's chain order (grid.sparse_before for WR,
+    grid.ranked for WRpi), each next point the lexicographically least
+    member that comes after the previous one.  Growing the
     chain is bounded by search_bound, and outputs are prefixes of each
     other as n increases.
     """
     if ideal.family == "WR":
-        rank = DIAG_RANK
+        before = sparse_before
     elif ideal.family == "WRpi":
-        rank = ideal.rank_map
+        before = ranked(ideal.rank_map)
     else:
         raise IdealError("dense subsets are implemented for the chain families only")
     if n <= 0:
@@ -328,9 +319,7 @@ def dense_subset(
     chain = [seed]
     while len(chain) < n:
         prev = chain[-1]
-        lo = max(prev[0] + 1, rank(prev), min_col)
-        prev_rank = rank(prev)
-        nxt = least_member(lo, lambda p: rank(p) > prev_rank)
+        nxt = least_member(max(prev[0] + 1, min_col), lambda p: before(prev, p))
         if nxt is None:
             raise ValueError("chain search exhausted; raise search_bound")
         chain.append(nxt)

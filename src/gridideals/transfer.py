@@ -1,13 +1,16 @@
 """Injective transfers between ranked presentations.
 
 Given two rank maps, the grid is cut into column strips [m_{n-1}, m_n)
-whose edges grow stage by stage.  Inside strip n, the points whose
-target rank exceeds the edge m_n are matched bijectively onto one even
-column (minus a finite excluded set), while the finitely many low-rank
-points join a global remainder that is sent into odd columns in rank
-order.  Column 0 maps identically.  Preimages of source chain
-generators then decompose into at most three target chains, which
-verify_preimage_decomposition checks on samples.
+whose edges grow stage by stage.  A point (c, r) of strip n, of width
+w = m_n - m_{n-1}, sits at the row-major position y = r*w + c - m_{n-1}.
+The strip's points of pi0 rank at most m_n are finitely many; their
+sorted positions form lows[n], and they join a global remainder that is
+sent into odd columns in rank order.  Every other position is the t-th
+natural outside lows[n] for one t, and goes to column 2n at the t-th row
+outside the rows the a-set A_n already holds there.  Column 0 maps
+identically.  Preimages of source chain generators then decompose into
+at most three target chains, which verify_preimage_decomposition checks
+on samples.
 """
 
 from __future__ import annotations
@@ -18,6 +21,10 @@ from typing import Iterable
 
 from .grid import Point, canonical_points, is_ranked_chain, ranked
 from .gridmaps import RankMap
+
+MAX_WINDOW = 256
+MAX_STAGES = 512
+MAX_REMAINDER_ROWS = 10 ** 6
 
 
 class TransferError(RuntimeError):
@@ -48,57 +55,35 @@ def _adjusted(rank: RankMap) -> tuple[RankMap, bool]:
     return RankMap(rank.name + "+shift", fn, preimages), True
 
 
-def _block_rank(pi0: RankMap, lo: int, hi: int, edge: int, p: Point) -> int:
-    """Row-major position of p among strip points with rank above the edge."""
-    c, r = p
-    t = 0
-    for rr in range(r + 1):
-        c_hi = c if rr == r else hi
-        for cc in range(lo, c_hi):
-            if pi0((cc, rr)) > edge:
-                t += 1
-    return t
-
-
-def _block_point(pi0: RankMap, lo: int, hi: int, edge: int, t: int) -> Point:
-    """Inverse of _block_rank: the t-th strip point in row-major order."""
-    rr = 0
-    while True:
-        for cc in range(lo, hi):
-            if pi0((cc, rr)) > edge:
-                if t == 0:
-                    return (cc, rr)
-                t -= 1
-        rr += 1
-
-
-def _skip_rows(excluded: list[int], t: int) -> int:
+def _nth_outside(excluded: list[int], t: int) -> int:
     """The t-th natural outside a sorted excluded list."""
-    y = t
-    for a in excluded:
-        if a <= y:
-            y += 1
-        else:
-            break
-    return y
+    return t + bisect_right(range(len(excluded)), t, key=lambda i: excluded[i] - i)
+
+
+def _index_outside(excluded: list[int], y: int) -> int | None:
+    """Inverse of _nth_outside; None when y is excluded."""
+    i = bisect_left(excluded, y)
+    if i < len(excluded) and excluded[i] == y:
+        return None
+    return y - i
 
 
 class ChainTransfer:
     """The built injection; total on every point with col < col_bound."""
 
-    def __init__(self, pi, pi0, window, m, a_sets, stalled, adjusted, col_bound,
-                 sigma_prime, sigma_prime_inv):
+    def __init__(self, pi: RankMap, pi0: RankMap, window: int, adjusted: bool):
         self.pi = pi
         self.pi0 = pi0
         self.window = window
-        self.m = m
-        self.stalled = tuple(stalled)
         self.adjusted = adjusted
-        self.col_bound = col_bound
-        self._A = a_sets
-        self._arows = [sorted(r for c, r in a if c == 2 * n) for n, a in enumerate(a_sets)]
-        self._sp = sigma_prime
-        self._spi = sigma_prime_inv
+        self.m = [1]
+        self.stalled: tuple[int, ...] = ()
+        self.col_bound = 0
+        self._A = [frozenset()]
+        self._arows: list[list[int]] = [[]]
+        self._lows: list[list[int]] = [[]]
+        self._sp: dict[Point, Point] = {}
+        self._spi: dict[Point, Point] = {}
 
     def stage_of_column(self, c: int) -> int:
         if c < 1 or c >= self.m[-1]:
@@ -114,33 +99,35 @@ class ChainTransfer:
         if c == 0:
             return p
         n = self.stage_of_column(c)
-        edge = self.m[n]
-        if self.pi0(p) <= edge:
+        lo = self.m[n - 1]
+        t = _index_outside(self._lows[n], r * (self.m[n] - lo) + c - lo)
+        if t is None:
             q = self._sp.get(p)
             if q is None:
                 raise TransferError(f"remainder image missing for {p}")
             return q
-        t = _block_rank(self.pi0, self.m[n - 1], self.m[n], edge, p)
-        return (2 * n, _skip_rows(self._arows[n], t))
+        return (2 * n, _nth_outside(self._arows[n], t))
 
     def invert(self, q: Point) -> Point | None:
         """Preimage of q, or None when q is outside the range."""
-        c, r = q
-        if c == 0:
-            return q
-        if c % 2 == 1:
+        if q[0] % 2 == 1:
             return self._spi.get(q)
+        return self._even_source(q)
+
+    def _even_source(self, q: Point) -> Point | None:
+        """The point sent to q in an even column, or None when there is none."""
+        c, r = q
         n = c // 2
-        if n < 1 or n >= len(self.m):
+        if n == 0:
+            return q
+        if n >= len(self.m) or self.m[n - 1] == self.m[n]:
             return None
-        if self.m[n - 1] == self.m[n]:
+        t = _index_outside(self._arows[n], r)
+        if t is None:
             return None
-        arows = self._arows[n]
-        i = bisect_left(arows, r)
-        if i < len(arows) and arows[i] == r:
-            return None
-        t = r - i
-        return _block_point(self.pi0, self.m[n - 1], self.m[n], self.m[n], t)
+        lo = self.m[n - 1]
+        row, col = divmod(_nth_outside(self._lows[n], t), self.m[n] - lo)
+        return (lo + col, row)
 
     def in_remainder_range(self, q: Point) -> bool:
         return q in self._spi
@@ -152,97 +139,66 @@ class ChainTransfer:
                 out.append(((c, r), self.apply((c, r))))
         return out
 
+    def _run_stage(self) -> list[Point]:
+        """Append the next a-set and strip edge; return the new strip's remainder."""
+        n = len(self.m)
+        if n > MAX_STAGES:
+            raise TransferError("stage limit exceeded while growing the strip edges")
+        an = frozenset(
+            p for v in range(2 * n + 1) for p in self.pi.preimages(v) if p[0] <= 2 * n
+        )
+        self._A.append(an)
+        self._arows.append(sorted(r for c, r in an if c == 2 * n))
+        # the edge is the largest pi0 rank among the block points the a-set
+        # reaches in the earlier even columns
+        sources = [self._even_source(q) for q in an if q[0] % 2 == 0]
+        vals = [self.pi0(d) for d in sources if d is not None]
+        lo = self.m[-1]
+        if vals:
+            edge = max(vals)
+            if edge < lo:
+                raise TransferError("strip edges decreased; inconsistent rank maps")
+        else:
+            edge = lo
+            self.stalled += (n,)
+        self.m.append(edge)
+        width = edge - lo
+        low = [
+            p for v in range(edge + 1) for p in self.pi0.preimages(v) if lo <= p[0] < edge
+        ] if width else []
+        self._lows.append(sorted(r * width + c - lo for c, r in low))
+        return low
 
-def build_chain_transfer(
-    pi: RankMap, pi0: RankMap, window: int, *, max_stages: int = 512
-) -> ChainTransfer:
+
+def build_chain_transfer(pi: RankMap, pi0: RankMap, window: int) -> ChainTransfer:
     """Run the stage construction until the strip edges pass the window.
 
-    Raises TransferError when a rank map fails to be onto where needed or
-    the edges stop growing.
+    Raises ValueError when the window is outside [1, MAX_WINDOW], and
+    TransferError when a rank map fails to be onto where needed or the
+    edges stop growing.
     """
-    if window < 1:
-        raise ValueError("window must be positive")
+    if not 1 <= window <= MAX_WINDOW:
+        raise ValueError(f"window must be between 1 and {MAX_WINDOW}")
     for rm in (pi, pi0):
         for v in range(4):
             if not rm.preimages(v):
                 raise TransferError(f"invalid rank map {rm.name}: no preimage of {v}")
     pi, adjusted = _adjusted(pi)
+    built = ChainTransfer(pi, pi0, window, adjusted)
+    remainder: list[Point] = []
+    while built.m[-1] < window:
+        remainder += built._run_stage()
+    built.col_bound = built.m[-1]
 
-    def a_set(n: int) -> frozenset:
-        pts = set()
-        for v in range(2 * n + 1):
-            for p in pi.preimages(v):
-                if p[0] < 2 * n + 1:
-                    pts.add(p)
-        return frozenset(pts)
-
-    m = [1]
-    a_sets = [frozenset()]
-    stalled: list[int] = []
-
-    def run_stage() -> None:
-        n = len(m)
-        if n > max_stages:
-            raise TransferError("stage limit exceeded while growing the strip edges")
-        an = a_set(n)
-        a_sets.append(an)
-        vals = []
-        for j in range(n):
-            if j > 0 and m[j - 1] == m[j]:
-                continue
-            aj = a_sets[j]
-            arows_j = sorted(r for c, r in aj if c == 2 * j)
-            for q in an:
-                if q[0] != 2 * j or q in aj:
-                    continue
-                if j == 0:
-                    d = q
-                else:
-                    i = bisect_left(arows_j, q[1])
-                    t = q[1] - i
-                    d = _block_point(pi0, m[j - 1], m[j], m[j], t)
-                vals.append(pi0(d))
-        if vals:
-            edge = max(vals)
-            if edge < m[-1]:
-                raise TransferError("strip edges decreased; inconsistent rank maps")
-            m.append(edge)
-        else:
-            m.append(m[-1])
-            stalled.append(n)
-
-    while m[-1] < window:
-        run_stage()
-    col_bound = m[-1]
-
-    # remainder strips up to the current edge
-    def strip_remainder(j: int) -> set:
-        lo, hi = m[j - 1], m[j]
-        pts = set()
-        if lo < hi:
-            for v in range(m[j] + 1):
-                for p in pi0.preimages(v):
-                    if lo <= p[0] < hi:
-                        pts.add(p)
-        return pts
-
-    remainder: set[Point] = set()
-    for j in range(1, len(m)):
-        remainder |= strip_remainder(j)
     vstar = max((pi0(b) for b in remainder), default=0)
     # points of rank <= vstar beyond the built strips also belong to the
     # remainder; extend the edges far enough to cover their columns
-    far = [
-        q
-        for v in range(vstar + 1)
-        for q in pi0.preimages(v)
-        if q[0] >= col_bound
-    ]
-    target_col = max((q[0] for q in far), default=0)
-    while m[-1] <= target_col:
-        run_stage()
-        remainder |= strip_remainder(len(m) - 1)
+    target_col = max(
+        (q[0] for v in range(vstar + 1) for q in pi0.preimages(v) if q[0] >= built.col_bound),
+        default=0,
+    )
+    while built.m[-1] <= target_col:
+        remainder += built._run_stage()
 
     # enumerate the remainder prefix in rank order, larger columns first
     # among equal ranks, and place each element in its odd column
@@ -251,28 +207,26 @@ def build_chain_transfer(
         key=lambda q: (pi0(q), -q[0], q[1]),
     )
     rem_cols = sorted(q[0] for q in remainder)
-    sigma_prime: dict[Point, Point] = {}
-    sigma_prime_inv: dict[Point, Point] = {}
+    # the ranks placed rise strictly, so every row of an odd column up to
+    # its last image has rank at most the next bound: resume past that image
+    next_row: dict[int, int] = {}
     last_rank = -1
     for b in prefix:
         f_b = bisect_left(rem_cols, pi0(b))
         h_b = bisect_left(rem_cols, b[0])
         bound = max(2 * f_b + 1, last_rank)
         col_v = 2 * h_b + 1
-        y = 0
+        y = next_row.get(col_v, 0)
         while pi((col_v, y)) <= bound:
             y += 1
-            if y > 10 ** 6:
+            if y > MAX_REMAINDER_ROWS:
                 raise TransferError("no admissible remainder image found")
+        next_row[col_v] = y + 1
         q = (col_v, y)
-        sigma_prime[b] = q
-        sigma_prime_inv[q] = b
+        built._sp[b] = q
+        built._spi[q] = b
         last_rank = pi(q)
-
-    return ChainTransfer(
-        pi, pi0, window, m, a_sets, stalled, adjusted, col_bound,
-        sigma_prime, sigma_prime_inv,
-    )
+    return built
 
 
 @dataclass(frozen=True)

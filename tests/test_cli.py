@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gridideals import cli
+from gridideals import cli, transfer
 
 
 def run_cli(argv, stdin=""):
@@ -155,6 +155,25 @@ def test_bad_points_rejected():
 )
 def test_non_natural_inputs_rejected(argv, payload):
     code, out = run_cli(argv, payload)
+    assert code == 1 and "error" in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["map", "verify", "--name", "triangle-fold", "--window", "-5"],
+        ["map", "verify", "--name", "wedge-zigzag", "--window", "0"],
+        ["map", "verify", "--name", "diag-rank", "--window", str(transfer.MAX_WINDOW + 1)],
+        ["game", "play", "--rounds", "-3"],
+        ["sigma", "build", "--pi", "diag-rank", "--pi0", "max-rank", "--window", "0"],
+        ["sigma", "build", "--pi", "diag-rank", "--pi0", "max-rank",
+         "--window", str(transfer.MAX_WINDOW + 1)],
+    ],
+    ids=["verify-negative", "verify-zero", "verify-past-cap", "rounds-negative",
+         "sigma-zero", "sigma-past-cap"],
+)
+def test_vacuous_or_unbounded_runs_rejected(argv):
+    code, out = run_cli(argv)
     assert code == 1 and "error" in json.loads(out)
 
 

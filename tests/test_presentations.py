@@ -63,7 +63,7 @@ def test_union_and_intersection():
 def test_pick_outside_examples():
     assert pick_outside(column(0)) == (1, 0)
     assert pick_outside(empty_set()) == (0, 0)
-    assert pick_outside(column(0) | column(1), "least-col-beyond", beyond=5) == (6, 0)
+    assert pick_outside(column(0) | column(1), beyond=5) == (6, 0)
 
 
 def test_pick_outside_never_lands_inside():
@@ -72,7 +72,7 @@ def test_pick_outside_never_lands_inside():
         d = random_descriptor(rng)
         p = pick_outside(d)
         assert not d.contains(p)
-        q = pick_outside(d, "least-col-beyond", beyond=rng.randint(0, 10))
+        q = pick_outside(d, beyond=rng.randint(0, 10))
         assert not d.contains(q)
 
 
@@ -127,6 +127,7 @@ def test_dense_subset_lands_in_one_generator():
         lambda p: p[1] == 0,
         lambda p: p[0] == p[1],
         lambda p: (p[0] + p[1]) % 3 == 0,
+        lambda p: p == (0, 1) or p[0] >= 1,
     ]
     for rule in rules:
         pts = dense_subset(WR, rule, 5)

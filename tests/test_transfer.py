@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from gridideals import (
     DIAG_RANK,
     MAX_RANK,
     OFFSET_RANK,
+    RANK_CATALOG,
     SKEW_RANK,
     TransferError,
     build_chain_transfer,
@@ -54,7 +57,7 @@ def test_injective_and_parts_disjoint():
 def test_invert_round_trip():
     t = build_chain_transfer(MAX_RANK, SKEW_RANK, 16)
     for c in range(t.col_bound):
-        for r in range(24):
+        for r in range(300):
             p = (c, r)
             assert t.invert(t.apply(p)) == p
 
@@ -128,3 +131,34 @@ def test_window_independence():
         for c in range(small.col_bound):
             for r in range(50):
                 assert small.apply((c, r)) == big.apply((c, r))
+
+
+def _transfer_digest(t, window):
+    inverse = [t.invert((c, r)) for c in range(2 * len(t.m) + 3) for r in range(80)]
+    doc = [
+        t.m, list(t.stalled), t.adjusted, t.col_bound,
+        [sorted(a) for a in t._A], sorted(t._spi.items()), t.table(window, window), inverse,
+    ]
+    return json.dumps(doc).encode()
+
+
+# sha256 over the 16 catalog pairs in name order: the edges, the a-sets, the
+# remainder placement, the forward table and the inverse on even and odd columns
+TRANSFER_DIGESTS = {
+    5: "443ea134267844c316c6bb777d70e82bf74b2a4319941a4c395d896e3ab0dbb3",
+    16: "e7af31abc86340bfc2cf35cc437f1c299de33349571bda04ff77726f1a3b5a71",
+    32: "dd5dcceb41472f3f0b640f4eec6cd1aa2a4c52ea6b975cf386e3d3b2a32916db",
+}
+
+
+def test_transfer_matches_recorded_digest():
+    names = sorted(RANK_CATALOG)
+    got = {}
+    for window in TRANSFER_DIGESTS:
+        digest = hashlib.sha256()
+        for pi in names:
+            for pi0 in names:
+                t = build_chain_transfer(RANK_CATALOG[pi], RANK_CATALOG[pi0], window)
+                digest.update(_transfer_digest(t, window) + b"\n")
+        got[window] = digest.hexdigest()
+    assert got == TRANSFER_DIGESTS
