@@ -26,6 +26,11 @@ from .presentations import (
 )
 
 
+# the longest game play accepts: a WR transcript holds every round's
+# columns, so its size grows with the square of the round count
+MAX_ROUNDS = 400
+
+
 class GameError(RuntimeError):
     pass
 
@@ -53,33 +58,109 @@ def blocking_strategy(exact: bool = False) -> Callable[[GameState], SetDescripto
     blocks only the color-1 section of each pick, using tails below it
     instead of whole columns.  For a ranked family the finitely many
     points of too-small rank are blocked as a finite set.
+
+    A strategy keeps its wall between calls: the picks it last saw, the
+    highest blocked column, and for a ranked family the largest pick
+    rank and the points of that rank sublevel past the blocked columns.
+    When a call's picks extend the kept ones, on the same family and
+    the same rank map object, only the new picks are read: the
+    preimages of newly reached rank values are added, and the kept
+    points on columns the wall rises over are dropped.  Any other call rebuilds the wall
+    from its own picks, so the descriptor never depends on call order.
+    The exact mode keeps nothing, since one sweep over the sorted picks
+    gives it.
     """
+    wall: _Wall | None = None
 
     def strategy(state: GameState) -> SetDescriptor:
+        nonlocal wall
         picks = state.picks()
         if not picks:
             return SetDescriptor.build()
-        fam = state.presentation.family
-        if fam == "WR":
-            if exact:
-                cols: list[int] = []
-                tails: list[tuple[int, int]] = []
-                for i, j in picks:
-                    cols.extend(range(i, i + j + 1))
-                    tails.extend((c, i - c) for c in range(i))
-                return SetDescriptor.build(cols, tails, picks)
-            top = max(point_sum(p) for p in picks)
-            return SetDescriptor.build(range(top + 1), (), picks)
-        if fam == "WRpi":
-            rank = state.presentation.rank_map
-            level = max(rank(p) for p in picks)
-            top = max(max(p[0] for p in picks), level - 1)
-            # the sublevels are nested: one sublevel blocks every low rank
-            low = {q for v in range(level + 1) for q in rank.preimages(v)}
-            return SetDescriptor.build(range(top + 1), (), low | set(picks))
-        raise GameError(f"no blocking strategy for {fam!r}")
+        ideal = state.presentation
+        if ideal.family == "WR" and exact:
+            return _exact_sections(picks)
+        if ideal.family not in ("WR", "WRpi"):
+            raise GameError(f"no blocking strategy for {ideal.family!r}")
+        if wall is None or not wall.extended_by(ideal, picks):
+            wall = _Wall(ideal)
+        wall.advance(picks)
+        return wall.descriptor()
 
     return strategy
+
+
+class _Wall:
+    """The columns 0..top a WR or WRpi strategy blocks, and for WRpi the
+    rank sublevel points past them.
+
+    WR walls off every column up to the largest coordinate sum of a
+    pick.  WRpi walls off every column up to the largest pick column and
+    one below the largest pick rank, plus the finite rest of that rank's
+    sublevel.
+    """
+
+    def __init__(self, ideal: IdealPresentation):
+        self.family = ideal.family
+        self.rank = ideal.rank_map
+        self.picks: tuple[Point, ...] = ()
+        self.top = -1
+        self.columns: set[int] = set()
+        self.level = -1
+        self.past: set[Point] = set()
+
+    def extended_by(self, ideal: IdealPresentation, picks: tuple[Point, ...]) -> bool:
+        return (
+            ideal.family == self.family
+            and ideal.rank_map is self.rank
+            and picks[: len(self.picks)] == self.picks
+        )
+
+    def advance(self, picks: tuple[Point, ...]) -> None:
+        new = picks[len(self.picks):]
+        if self.family == "WR":
+            top = max(self.top, max(map(point_sum, new), default=-1))
+        else:
+            level = max(self.level, max(map(self.rank, new), default=-1))
+            top = max(self.top, max((p[0] for p in new), default=-1), level - 1)
+            fresh = [
+                q
+                for v in range(self.level + 1, level + 1)
+                for q in self.rank.preimages(v)
+                if q[0] > top
+            ]
+            if top > self.top:
+                self.past = {q for q in self.past if q[0] > top}
+            self.past.update(fresh)
+            self.level = level
+        self.columns.update(range(self.top + 1, top + 1))
+        self.top, self.picks = top, picks
+
+    def descriptor(self) -> SetDescriptor:
+        # already canonical: no tails, and no point on a listed column.
+        # A frozenset copied from a set gets a table sized to its length,
+        # where frozenset(range(n)) can hold twice that, and a game keeps
+        # every round's descriptor
+        return SetDescriptor(frozenset(self.columns), (), frozenset(self.past))
+
+
+def _exact_sections(picks: tuple[Point, ...]) -> SetDescriptor:
+    """The color-1 sections of the picks under the sparse coloring.
+
+    A pick (i, j) blocks the columns i..i+j and the tail from row i - c
+    of every column c < i.  Of the tails on one column the longest wins,
+    so a column c outside every pick's columns keeps the tail from row
+    (next pick column past c) - c, and one sweep over the picks sorted
+    by column lists the columns and the tails in order.
+    """
+    cols: set[int] = set()
+    tails: list[tuple[int, int]] = []
+    free = 0  # the first column past every pick's columns so far
+    for i, j in sorted(picks):
+        tails.extend((c, i - c) for c in range(free, i))
+        cols.update(range(max(free, i), i + j + 1))
+        free = max(free, i + j + 1)
+    return SetDescriptor(frozenset(cols), tuple(tails), frozenset())
 
 
 def empty_strategy(state: GameState) -> SetDescriptor:
@@ -126,6 +207,8 @@ def play(
     seed: int | None = None,
 ) -> GameState:
     """Run a legality-checked match and return the transcript state."""
+    if rounds > MAX_ROUNDS:
+        raise ValueError(f"rounds must be at most {MAX_ROUNDS}")
     state = GameState(presentation, seed=seed)
     for n in range(rounds):
         blocked = player_one(state)
@@ -182,12 +265,15 @@ class FiniteTree:
 
     def ramification(self, node: Iterable[Point]) -> frozenset:
         node = tuple(node)
-        if node not in self._ram:
-            parent = node[:-1]
-            parent_ram = self.ramification(parent)
-            if node[-1] not in parent_ram:
-                raise KeyError(f"{node!r} is not a tree node")
-            self._ram[node] = self._rule(parent, parent_ram, node[-1])
+        known = len(node)
+        while node[:known] not in self._ram:
+            known -= 1
+        for n in range(known + 1, len(node) + 1):
+            parent = node[: n - 1]
+            parent_ram = self._ram[parent]
+            if node[n - 1] not in parent_ram:
+                raise KeyError(f"{node[:n]!r} is not a tree node")
+            self._ram[node[:n]] = self._rule(parent, parent_ram, node[n - 1])
         return self._ram[node]
 
     def children(self, node: Iterable[Point]) -> list[Point]:
@@ -198,22 +284,25 @@ class FiniteTree:
 
     def branches(self, depth: int | None = None):
         """All chosen-point sequences of the given length (shorter when a
-        ramification empties out first)."""
+        ramification empties out first), depth first in sorted order."""
         if depth is None:
             depth = self.depth
-
-        def rec(node):
-            if len(node) == depth:
+        node: tuple = ()
+        pending = []  # per level above node, the children not yet visited
+        while True:
+            ram = self.ramification(node) if len(node) != depth else None
+            if ram:
+                pending.append(iter(sorted(ram)))
+            else:
                 yield node
+            while pending:
+                nxt = next(pending[-1], None)
+                if nxt is not None:
+                    node = node[: len(pending) - 1] + (nxt,)
+                    break
+                pending.pop()
+            else:
                 return
-            ram = self.ramification(node)
-            if not ram:
-                yield node
-                return
-            for x in sorted(ram):
-                yield from rec(node + (x,))
-
-        yield from rec(())
 
 
 def coloring_to_tree(

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 from gridideals import (
     ColumnSpec,
+    GameError,
     SequenceFamily,
     SetDescriptor,
     EVENTUALLY_CONSTANT,
     NONDECREASING,
     NONINCREASING,
+    point_sum,
 )
 
 
@@ -44,6 +47,45 @@ def random_descriptor(rng: random.Random) -> SetDescriptor:
     tails = [(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(rng.randint(0, 2))]
     pts = [(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(rng.randint(0, 5))]
     return SetDescriptor.build(cols, tails, pts)
+
+
+def stack_depth() -> int:
+    """Frames on the caller's stack, for tests run under a tight
+    recursion limit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def reference_blocking_strategy(exact: bool = False):
+    """The blocking strategy recomputed from every pick each round: the
+    reference the incremental game.blocking_strategy must match."""
+
+    def strategy(state) -> SetDescriptor:
+        picks = state.picks()
+        if not picks:
+            return SetDescriptor.build()
+        fam = state.presentation.family
+        if fam == "WR":
+            if exact:
+                cols: list[int] = []
+                tails: list[tuple[int, int]] = []
+                for i, j in picks:
+                    cols.extend(range(i, i + j + 1))
+                    tails.extend((c, i - c) for c in range(i))
+                return SetDescriptor.build(cols, tails, picks)
+            top = max(point_sum(p) for p in picks)
+            return SetDescriptor.build(range(top + 1), (), picks)
+        if fam == "WRpi":
+            rank = state.presentation.rank_map
+            level = max(rank(p) for p in picks)
+            top = max(max(p[0] for p in picks), level - 1)
+            low = {q for v in range(level + 1) for q in rank.preimages(v)}
+            return SetDescriptor.build(range(top + 1), (), low | set(picks))
+        raise GameError(f"no blocking strategy for {fam!r}")
+
+    return strategy
 
 
 def random_witness_family(rng: random.Random, level: int):

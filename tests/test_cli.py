@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gridideals import cli, transfer
+from gridideals import cli, game, transfer
 
 
 def run_cli(argv, stdin=""):
@@ -165,11 +165,12 @@ def test_non_natural_inputs_rejected(argv, payload):
         ["map", "verify", "--name", "wedge-zigzag", "--window", "0"],
         ["map", "verify", "--name", "diag-rank", "--window", str(transfer.MAX_WINDOW + 1)],
         ["game", "play", "--rounds", "-3"],
+        ["game", "play", "--rounds", str(game.MAX_ROUNDS + 1)],
         ["sigma", "build", "--pi", "diag-rank", "--pi0", "max-rank", "--window", "0"],
         ["sigma", "build", "--pi", "diag-rank", "--pi0", "max-rank",
          "--window", str(transfer.MAX_WINDOW + 1)],
     ],
-    ids=["verify-negative", "verify-zero", "verify-past-cap", "rounds-negative",
+    ids=["verify-negative", "verify-zero", "verify-past-cap", "rounds-negative", "rounds-past-cap",
          "sigma-zero", "sigma-past-cap"],
 )
 def test_vacuous_or_unbounded_runs_rejected(argv):

@@ -30,7 +30,7 @@ from gridideals.covering import (
     nondecreasing_chain_partition,
     sparse_chain_partition,
 )
-from support import random_points, random_sparse_chain, random_witness_family
+from support import random_points, random_sparse_chain, random_witness_family, stack_depth
 
 
 def test_brute_force_examples():
@@ -229,20 +229,13 @@ def test_certificate_lines_are_fewest_among_minimum_covers():
             assert cost == oracle_cover_cost(pts, (VERTICAL_LINE, chain_kind), rank=rank)
 
 
-def _stack_depth():
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    return depth
-
-
 def test_chain_partition_independent_of_recursion_limit():
     # augmenting paths in this set run about 170 vertices deep
     rng = random.Random(0)
     pts = rng.sample([(c, r) for c in range(60) for r in range(60)], 400)
     expected = nondecreasing_chain_partition(pts)
     old = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 100)
+    sys.setrecursionlimit(stack_depth() + 100)
     try:
         shallow = nondecreasing_chain_partition(pts)
     finally:

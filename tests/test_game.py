@@ -1,11 +1,18 @@
+import hashlib
+import json
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridideals import (
     DIAG_RANK,
     FIN,
+    RANK_CATALOG,
     WR,
+    FiniteTree,
     GameError,
     GameState,
     blocking_strategy,
@@ -29,7 +36,9 @@ from gridideals import (
     verdict,
     wr_pi,
 )
+from gridideals import game
 from gridideals.game import empty_strategy
+from support import reference_blocking_strategy, stack_depth
 
 
 def test_strategy_descriptor_shapes():
@@ -113,6 +122,19 @@ def test_illegal_strategy_is_caught():
         play(FIN, cheating_player_one, least_lex_opponent, 1)
 
 
+def test_rounds_past_the_cap_are_refused():
+    calls = []
+
+    def player_one(state):
+        calls.append(state.round)
+        return empty_set()
+
+    with pytest.raises(ValueError, match=str(game.MAX_ROUNDS)):
+        play(WR, player_one, least_lex_opponent, game.MAX_ROUNDS + 1)
+    assert calls == []
+    assert play(WR, empty_strategy, least_lex_opponent, game.MAX_ROUNDS).round == game.MAX_ROUNDS
+
+
 def test_unsupported_strategy_family():
     # round 0 blocks nothing, so the family is only interrogated afterwards
     with pytest.raises(GameError):
@@ -126,6 +148,54 @@ def test_transcript_shape():
     assert len(doc["rounds"]) == 4
     assert set(doc["rounds"][0]) == {"X", "k"}
     assert doc["verdict"]["sparse_chain"] is True
+
+
+GAME_IDEALS = [WR] + [wr_pi(rank) for rank in RANK_CATALOG.values()]
+_picks = st.lists(st.tuples(st.integers(0, 30), st.integers(0, 14)), max_size=14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    exact=st.booleans(),
+    sequences=st.lists(_picks, min_size=1, max_size=3),
+    calls=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 14), st.integers(0, len(GAME_IDEALS) - 1)),
+        max_size=30,
+    ),
+)
+def test_strategy_matches_reference_in_any_call_order(exact, sequences, calls):
+    # one strategy serves states that grow, shrink, diverge and switch
+    # ideals; every descriptor must equal the one recomputed from scratch
+    strategy = blocking_strategy(exact=exact)
+    reference = reference_blocking_strategy(exact=exact)
+    for which, length, ideal_index in calls:
+        picks = sequences[which % len(sequences)][:length]
+        state = GameState(GAME_IDEALS[ideal_index], [(empty_set(), p) for p in picks])
+        assert strategy(state) == reference(state), (state.presentation.describe(), picks)
+    for ideal in GAME_IDEALS:
+        state = GameState(ideal)
+        for p in sequences[0]:
+            state.moves.append((empty_set(), p))
+            assert strategy(state) == reference(state), (ideal.describe(), state.picks())
+
+
+# sha256 over the sorted-key JSON of each transcript in turn: WR for 120
+# rounds, exact WR for 60 and WRpi over the rank catalog for 22, each
+# against a seeded random and the least-lex opponent, with one strategy
+# per mode reused across all the games
+TRANSCRIPT_DIGEST = "7a82fed1223fcd5d0b12bea3b54c99de7049d18cd857ad8472af17edad11b34d"
+
+
+def test_transcripts_match_recorded_digest():
+    games = [(WR, False, 120), (WR, True, 60)]
+    games += [(wr_pi(rank), False, 22) for rank in RANK_CATALOG.values()]
+    strategies = {False: blocking_strategy(), True: blocking_strategy(exact=True)}
+    digest = hashlib.sha256()
+    for seed, (ideal, exact, rounds) in enumerate(games):
+        for opponent in (random_opponent(seed), least_lex_opponent):
+            state = play(ideal, strategies[exact], opponent, rounds, seed=seed)
+            digest.update(json.dumps(transcript_json(state), sort_keys=True).encode())
+    assert digest.hexdigest() == TRANSCRIPT_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +228,24 @@ def test_tree_rejects_foreign_nodes():
     tree = coloring_to_tree(sparse_pair_color, lambda x: 1, 2, 6)
     with pytest.raises(KeyError):
         tree.ramification(((0, 0), (0, 1)))
+
+
+def test_tree_walks_independent_of_recursion_limit():
+    # one child per node, so the tree is one branch of 3,000 points
+    def one_branch():
+        return FiniteTree([(0, 0)], lambda parent, ram, chosen: frozenset({(chosen[0] + 1, 0)}),
+                          3000)
+
+    branch = tuple((c, 0) for c in range(3000))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 100)
+    try:
+        deepest = one_branch().ramification(branch)
+        branches = list(one_branch().branches())
+    finally:
+        sys.setrecursionlimit(old)
+    assert deepest == frozenset({(3000, 0)})
+    assert branches == [branch]
 
 
 def test_chain_coloring_examples():
