@@ -26,8 +26,10 @@ from .presentations import (
 )
 
 
-# the longest game play accepts: a WR transcript holds every round's
-# columns, so its size grows with the square of the round count
+# the longest game play accepts.  WR and WRpi transcripts grow linearly
+# with the round count (one column run per round); exact WR lists a tail
+# for every free column below the picks each round, so its transcript
+# grows with the square of the round count
 MAX_ROUNDS = 400
 
 
@@ -105,7 +107,6 @@ class _Wall:
         self.rank = ideal.rank_map
         self.picks: tuple[Point, ...] = ()
         self.top = -1
-        self.columns: set[int] = set()
         self.level = -1
         self.past: set[Point] = set()
 
@@ -133,15 +134,11 @@ class _Wall:
                 self.past = {q for q in self.past if q[0] > top}
             self.past.update(fresh)
             self.level = level
-        self.columns.update(range(self.top + 1, top + 1))
         self.top, self.picks = top, picks
 
     def descriptor(self) -> SetDescriptor:
-        # already canonical: no tails, and no point on a listed column.
-        # A frozenset copied from a set gets a table sized to its length,
-        # where frozenset(range(n)) can hold twice that, and a game keeps
-        # every round's descriptor
-        return SetDescriptor(frozenset(self.columns), (), frozenset(self.past))
+        # already canonical: one run, no tails, and no point on the run
+        return SetDescriptor(((0, self.top),), (), frozenset(self.past))
 
 
 def _exact_sections(picks: tuple[Point, ...]) -> SetDescriptor:
@@ -151,16 +148,21 @@ def _exact_sections(picks: tuple[Point, ...]) -> SetDescriptor:
     of every column c < i.  Of the tails on one column the longest wins,
     so a column c outside every pick's columns keeps the tail from row
     (next pick column past c) - c, and one sweep over the picks sorted
-    by column lists the columns and the tails in order.
+    by column lists the column runs and the tails in order.
     """
-    cols: set[int] = set()
+    runs: list[tuple[int, int]] = []
     tails: list[tuple[int, int]] = []
     free = 0  # the first column past every pick's columns so far
     for i, j in sorted(picks):
         tails.extend((c, i - c) for c in range(free, i))
-        cols.update(range(max(free, i), i + j + 1))
-        free = max(free, i + j + 1)
-    return SetDescriptor(frozenset(cols), tuple(tails), frozenset())
+        if i + j < free:
+            continue
+        if runs and i <= free:  # the columns go on from the last run
+            runs[-1] = (runs[-1][0], i + j)
+        else:
+            runs.append((max(free, i), i + j))
+        free = i + j + 1
+    return SetDescriptor(tuple(runs), tuple(tails), frozenset())
 
 
 def empty_strategy(state: GameState) -> SetDescriptor:
@@ -173,14 +175,33 @@ def least_lex_opponent(state: GameState, blocked: SetDescriptor) -> Point:
 
 def random_opponent(seed: int, spread: int = 8, row_spread: int = 12):
     """Seeded legal opponent: random points near the action, with a
-    deterministic fallback beyond the blocked columns."""
+    deterministic fallback beyond the blocked columns.
+
+    The points are drawn in no column past the largest pick sum plus
+    spread.  That sum is kept with the state and the number of moves it
+    was read from, so a call on the same state after more moves reads
+    only the new ones.  A call on another state, on fewer moves, or on a
+    state whose last move read before has been replaced reads them all
+    again.
+    """
     rng = random.Random(seed)
+    seen: tuple = (None, 0, None)  # state, moves read, the last move read
+    top = 0  # the largest pick sum among the moves read
 
     def opponent(state: GameState, blocked: SetDescriptor) -> Point:
-        hi = max((point_sum(k) for k in state.picks()), default=0) + spread
+        nonlocal seen, top
+        moves = state.moves
+        seen_state, read, last = seen
+        if state is not seen_state or read > len(moves) or (read and moves[read - 1] is not last):
+            read, top = 0, 0
+        for _, k in moves[read:]:
+            top = max(top, point_sum(k))
+        seen = (state, len(moves), moves[-1] if moves else None)
+        hi = top + spread
+        draw, contains = rng.randrange, blocked.contains
         for _ in range(64):
-            p = (rng.randint(0, hi), rng.randint(0, row_spread))
-            if not blocked.contains(p):
+            p = (draw(hi + 1), draw(row_spread + 1))
+            if not contains(p):
                 return p
         return pick_outside(blocked, beyond=hi)
 

@@ -17,12 +17,42 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
+from numbers import Rational
 from typing import Callable, Sequence
 
 from .covering import SparsityWitness, sparsity_witness
 from .grid import Point
 
-INF = float("inf")
+
+@total_ordering
+@dataclass(frozen=True)
+class Infinity:
+    """An exact infinite limit, INF or -INF.
+
+    It lies above (or below) every integer and Fraction, negates, and
+    stays itself when a finite value is subtracted, which an eventually
+    constant column's terms before its threshold do.  No float enters a
+    comparison with it.
+    """
+
+    sign: int = 1
+
+    def __lt__(self, other):
+        if isinstance(other, Infinity):
+            return self.sign < other.sign
+        if isinstance(other, Rational):
+            return self.sign < 0
+        return NotImplemented
+
+    def __neg__(self) -> "Infinity":
+        return Infinity(-self.sign)
+
+    def __sub__(self, other):
+        return self if isinstance(other, Rational) else NotImplemented
+
+
+INF = Infinity()
 
 NONDECREASING = "nondecreasing"
 NONINCREASING = "nonincreasing"
@@ -70,7 +100,7 @@ class ColumnSpec:
     """
 
     mode: str
-    limit: Fraction | float
+    limit: Fraction | Infinity
     term: Callable[[int], Fraction]
     jmap: Callable[[int], int] = _identity
     threshold: int = 0

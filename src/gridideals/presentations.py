@@ -8,7 +8,9 @@ membership in each presented ideal decidable.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .covering import IdealError
@@ -18,19 +20,25 @@ from .gridmaps import RankMap
 
 @dataclass(frozen=True)
 class SetDescriptor:
-    """Symbolic subset of the grid: columns, column tails, finite points.
+    """Symbolic subset of the grid: column runs, column tails, finite points.
 
-    Canonical form: a tail never starts at row 0, never sits on a listed
-    column, and the points immediately below it are folded into it;
-    listed points never lie on a column or inside a tail.
+    The whole columns are kept as maximal runs (first, last) of
+    consecutive columns, so a block of blocked columns costs one atom
+    however wide it is.  Canonical form: the runs are sorted, disjoint
+    and never adjacent (two runs that touch are one run); a tail never
+    starts at row 0, never sits on a run, and the points immediately
+    below it are folded into it; listed points never lie on a run or
+    inside a tail.  Equal sets therefore have equal descriptors.
     """
 
-    columns: frozenset[int] = frozenset()
+    columns: tuple[tuple[int, int], ...] = ()
     tails: tuple[tuple[int, int], ...] = ()
     points: frozenset[Point] = frozenset()
 
     @staticmethod
     def build(columns=(), tails=(), points=()) -> "SetDescriptor":
+        """The canonical descriptor of the given whole columns (column
+        numbers, not runs), tails (column, first row) and points."""
         cols = set(columns)
         tail_map: dict[int, int] = {}
         for c, start in tails:
@@ -59,20 +67,40 @@ class SetDescriptor:
             if p[0] not in cols
             and not (p[0] in tail_map and p[1] >= tail_map[p[0]])
         }
-        return SetDescriptor(frozenset(cols), tuple(sorted(tail_map.items())), frozenset(pts))
+        return SetDescriptor(_runs(cols), tuple(sorted(tail_map.items())), frozenset(pts))
 
     def contains(self, p: Point) -> bool:
-        c, r = p
-        if c in self.columns:
-            return True
-        for tc, start in self.tails:
-            if tc == c and r >= start:
+        # the first run is tried before any search: a blocking wall is
+        # one run, and most points a game asks about lie on it
+        c = p[0]
+        runs = self.columns
+        try:
+            first, last = runs[0]
+        except IndexError:
+            pass
+        else:
+            if c <= last:
+                if c >= first:
+                    return True
+            elif len(runs) > 1:
+                # (c + 1,) sorts after every run starting at c or before
+                i = bisect_left(runs, (c + 1,))
+                if c <= runs[i - 1][1]:
+                    return True
+        tails = self.tails
+        if tails:
+            i = bisect_left(tails, (c,))
+            if i < len(tails) and tails[i][0] == c and p[1] >= tails[i][1]:
                 return True
         return p in self.points
 
+    def _column_set(self) -> set[int]:
+        """The whole columns, one by one."""
+        return {c for first, last in self.columns for c in range(first, last + 1)}
+
     def union(self, other: "SetDescriptor") -> "SetDescriptor":
         return SetDescriptor.build(
-            self.columns | other.columns,
+            self._column_set() | other._column_set(),
             self.tails + other.tails,
             self.points | other.points,
         )
@@ -80,14 +108,14 @@ class SetDescriptor:
     __or__ = union
 
     def intersect(self, other: "SetDescriptor") -> "SetDescriptor":
-        cols = self.columns & other.columns
+        cols1, cols2 = self._column_set(), other._column_set()
         t1 = dict(self.tails)
         t2 = dict(other.tails)
         tails = []
-        for c in self.columns:
+        for c in cols1:
             if c in t2:
                 tails.append((c, t2[c]))
-        for c in other.columns:
+        for c in cols2:
             if c in t1:
                 tails.append((c, t1[c]))
         for c, s in t1.items():
@@ -95,7 +123,7 @@ class SetDescriptor:
                 tails.append((c, max(s, t2[c])))
         pts = {p for p in self.points if other.contains(p)}
         pts |= {p for p in other.points if self.contains(p)}
-        return SetDescriptor.build(cols, tails, pts)
+        return SetDescriptor.build(cols1 & cols2, tails, pts)
 
     __and__ = intersect
 
@@ -107,25 +135,41 @@ class SetDescriptor:
 
     def infinite_columns(self) -> tuple[int, ...]:
         """Columns the denoted set meets infinitely often."""
-        return tuple(sorted(self.columns | {c for c, _ in self.tails}))
+        return tuple(sorted(self._column_set() | {c for c, _ in self.tails}))
 
     def finite_part(self) -> tuple[Point, ...]:
         return canonical_points(self.points)
 
     def to_json(self) -> dict:
         return {
-            "columns": sorted(self.columns),
+            "columns": [list(run) for run in self.columns],
             "tails": [list(t) for t in self.tails],
             "points": [list(p) for p in canonical_points(self.points)],
         }
 
     @staticmethod
     def from_json(obj: dict) -> "SetDescriptor":
+        cols = []
+        for first, last in obj.get("columns", ()):
+            if last < first:
+                raise ValueError(f"column run [{first}, {last}] ends before it starts")
+            cols.extend(range(first, last + 1))
         return SetDescriptor.build(
-            obj.get("columns", ()),
+            cols,
             [tuple(t) for t in obj.get("tails", ())],
             [tuple(p) for p in obj.get("points", ())],
         )
+
+
+def _runs(cols) -> tuple[tuple[int, int], ...]:
+    """The maximal runs of consecutive columns in a set of columns."""
+    runs: list[tuple[int, int]] = []
+    for c in sorted(cols):
+        if runs and runs[-1][1] == c - 1:
+            runs[-1] = (runs[-1][0], c)
+        else:
+            runs.append((c, c))
+    return tuple(runs)
 
 
 def empty_set() -> SetDescriptor:
@@ -147,27 +191,25 @@ def finite_points(points: Iterable[Point]) -> SetDescriptor:
 def pick_outside(d: SetDescriptor, beyond: int = -1) -> Point:
     """The least point outside the denoted set in a column past beyond.
 
-    Columns are scanned from beyond + 1, so the default scans from 0.  No
-    descriptor denotes the whole grid, so the scan terminates.
+    Columns are scanned from beyond + 1, so the default scans from 0, and
+    a run of whole columns is passed in one step.  No descriptor denotes
+    the whole grid, so the scan terminates.
     """
+    runs = d.columns
     tails = dict(d.tails)
-
-    def first_free_row(c: int) -> int | None:
-        if c in d.columns:
-            return None
+    c = beyond + 1
+    k = bisect_left(runs, c, key=itemgetter(1))  # the first run not wholly before c
+    while True:
+        if k < len(runs) and runs[k][0] <= c:
+            c = runs[k][1] + 1
+            k += 1
+            continue
         limit = tails.get(c)
         r = 0
         while limit is None or r < limit:
             if (c, r) not in d.points:
-                return r
+                return (c, r)
             r += 1
-        return None
-
-    c = beyond + 1
-    while True:
-        r = first_free_row(c)
-        if r is not None:
-            return (c, r)
         c += 1
 
 
@@ -228,7 +270,7 @@ def split_by_parity(d: SetDescriptor) -> tuple[SetDescriptor, SetDescriptor]:
     carrying the left component and odd ones the right.
     """
     sides: tuple = (([], [], []), ([], [], []))
-    for c in d.columns:
+    for c in d._column_set():
         sides[c % 2][0].append(c // 2)
     for c, s in d.tails:
         sides[c % 2][1].append((c // 2, s))

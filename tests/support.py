@@ -14,6 +14,7 @@ from gridideals import (
     EVENTUALLY_CONSTANT,
     NONDECREASING,
     NONINCREASING,
+    pick_outside,
     point_sum,
 )
 
@@ -86,6 +87,35 @@ def reference_blocking_strategy(exact: bool = False):
         raise GameError(f"no blocking strategy for {fam!r}")
 
     return strategy
+
+
+def json_descriptor_contains(doc: dict, p) -> bool:
+    """Membership in a serialised set descriptor, read from the JSON
+    alone: on a column run [first, last], on a tail [column, first row]
+    at or below its first row, or a listed point."""
+    c, r = p
+    return (
+        any(first <= c <= last for first, last in doc["columns"])
+        or any(tc == c and r >= start for tc, start in doc["tails"])
+        or [c, r] in doc["points"]
+    )
+
+
+def reference_random_opponent(seed: int, spread: int = 8, row_spread: int = 12):
+    """game.random_opponent with the largest pick sum recomputed from
+    every pick each call and the draws made through randint: the
+    reference the incremental opponent must match."""
+    rng = random.Random(seed)
+
+    def opponent(state, blocked: SetDescriptor):
+        hi = max((point_sum(k) for k in state.picks()), default=0) + spread
+        for _ in range(64):
+            p = (rng.randint(0, hi), rng.randint(0, row_spread))
+            if not blocked.contains(p):
+                return p
+        return pick_outside(blocked, beyond=hi)
+
+    return opponent
 
 
 def random_witness_family(rng: random.Random, level: int):

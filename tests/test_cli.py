@@ -249,8 +249,9 @@ def test_outputs_validate_against_schemas():
 
     _, out = run_cli(["phi", "--ideal", "WR"], "[[0,5],[1,4],[2,3]]")
     validator("gridideals:cover-certificate").validate(json.loads(out)["certificate"])
-    _, out = run_cli(["game", "play", "--rounds", "6", "--seed", "1"])
-    validator("gridideals:game-transcript").validate(json.loads(out))
+    for extra in ([], ["--exact"], ["--ideal", "WRpi", "--rank", "max-rank"]):
+        _, out = run_cli(["game", "play", "--rounds", "6", "--seed", "1", *extra])
+        validator("gridideals:game-transcript").validate(json.loads(out))
     descriptor = {
         "columns": [
             {"mode": "nondecreasing", "limit": "3/2", "jmap": [1, 0]} for _ in range(20)

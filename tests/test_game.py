@@ -4,7 +4,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridideals import (
@@ -38,7 +38,12 @@ from gridideals import (
 )
 from gridideals import game
 from gridideals.game import empty_strategy
-from support import reference_blocking_strategy, stack_depth
+from support import (
+    json_descriptor_contains,
+    reference_blocking_strategy,
+    reference_random_opponent,
+    stack_depth,
+)
 
 
 def test_strategy_descriptor_shapes():
@@ -49,7 +54,7 @@ def test_strategy_descriptor_shapes():
     assert strat(state) == column(0) | finite_points([(0, 0)])
     state.moves.append((empty_set(), (1, 7)))
     d = strat(state)
-    assert sorted(d.columns) == list(range(9))
+    assert d.columns == ((0, 8),)
 
 
 def test_least_lex_match():
@@ -179,23 +184,109 @@ def test_strategy_matches_reference_in_any_call_order(exact, sequences, calls):
             assert strategy(state) == reference(state), (ideal.describe(), state.picks())
 
 
-# sha256 over the sorted-key JSON of each transcript in turn: WR for 120
-# rounds, exact WR for 60 and WRpi over the rank catalog for 22, each
-# against a seeded random and the least-lex opponent, with one strategy
-# per mode reused across all the games
-TRANSCRIPT_DIGEST = "7a82fed1223fcd5d0b12bea3b54c99de7049d18cd857ad8472af17edad11b34d"
+_SWITCH = [[(0, 0), (3, 3), (1, 1)], [(0, 0), (0, 0), (1, 1), (0, 0)]]
 
 
-def test_transcripts_match_recorded_digest():
+@settings(max_examples=300, deadline=None)
+# a second state whose third move is the first state's third move
+@example(seed=0, sequences=_SWITCH, calls=[(0, 0, 3, False, False), (1, 1, 4, False, False)])
+# the same state refilled with fresh moves past the count read before
+@example(seed=0, sequences=_SWITCH, calls=[(0, 0, 3, False, False), (0, 1, 4, True, False)])
+@given(
+    seed=st.integers(0, 2 ** 16),
+    # few distinct picks, so that states often share moves
+    sequences=st.lists(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=10),
+        min_size=1,
+        max_size=3,
+    ),
+    calls=st.lists(
+        st.tuples(
+            st.integers(0, 2), st.integers(0, 2), st.integers(0, 10), st.booleans(), st.booleans()
+        ),
+        max_size=40,
+    ),
+)
+def test_opponent_matches_reference_in_any_call_order(seed, sequences, calls):
+    # one opponent serves up to three states.  A state is set in place to
+    # a prefix of its own pick sequence, so it grows and shrinks, or it is
+    # refilled with fresh moves from any sequence.  Equal picks share one
+    # move object across the states, so only the state tells them apart.
+    # The reference rescans every pick on each call
+    opponent = random_opponent(seed)
+    reference = reference_random_opponent(seed)
+    shared = {p: (empty_set(), p) for seq in sequences for p in seq}
+    states = [GameState(WR) for _ in range(3)]
+    walls = reference_blocking_strategy()
+    for which_state, which_seq, length, fresh, walled in calls:
+        state = states[which_state]
+        if fresh:
+            picks = sequences[which_seq % len(sequences)][:length]
+            state.moves[:] = [(empty_set(), p) for p in picks]
+        else:
+            state.moves[:] = [shared[p] for p in sequences[which_state % len(sequences)][:length]]
+        blocked = walls(state) if walled else empty_set()
+        assert opponent(state, blocked) == reference(state, blocked), state.picks()
+
+
+def _recorded_games():
+    """WR for 120 rounds, exact WR for 60 and WRpi over the rank catalog
+    for 22, each against a seeded random and the least-lex opponent,
+    with one strategy per mode reused across all the games."""
     games = [(WR, False, 120), (WR, True, 60)]
     games += [(wr_pi(rank), False, 22) for rank in RANK_CATALOG.values()]
     strategies = {False: blocking_strategy(), True: blocking_strategy(exact=True)}
-    digest = hashlib.sha256()
     for seed, (ideal, exact, rounds) in enumerate(games):
         for opponent in (random_opponent(seed), least_lex_opponent):
-            state = play(ideal, strategies[exact], opponent, rounds, seed=seed)
-            digest.update(json.dumps(transcript_json(state), sort_keys=True).encode())
+            yield exact, play(ideal, strategies[exact], opponent, rounds, seed=seed)
+
+
+# sha256 over the sorted-key JSON of each recorded game's transcript in turn
+TRANSCRIPT_DIGEST = "3ba31e997afcfad283b830fec9529b52df7b7d060dbd989f7580c21d485fd00c"
+# sha256 over the JSON of each recorded game's picks in turn; the
+# descriptor encoding may change, the picks may not
+PICKS_DIGEST = "1382b20b1ae338e7710205a484254f5fa9856f45fd0314afd05689f5361cfa50"
+
+
+def test_transcripts_match_recorded_digest():
+    digest = hashlib.sha256()
+    for _, state in _recorded_games():
+        digest.update(json.dumps(transcript_json(state), sort_keys=True).encode())
     assert digest.hexdigest() == TRANSCRIPT_DIGEST
+
+
+def test_picks_match_recorded_digest():
+    digest = hashlib.sha256()
+    for _, state in _recorded_games():
+        digest.update(json.dumps([list(p) for p in state.picks()]).encode())
+    assert digest.hexdigest() == PICKS_DIGEST
+
+
+def test_transcript_sets_match_reference():
+    # every round's serialised X, read without the presentations module,
+    # denotes the reference strategy's set on a 70 x 40 window
+    window = [(c, r) for c in range(70) for r in range(40)]
+    for exact, state in _recorded_games():
+        reference = reference_blocking_strategy(exact=exact)
+        for n, move in enumerate(transcript_json(state)["rounds"]):
+            expected = reference(GameState(state.presentation, state.moves[:n]))
+            for p in window:
+                assert json_descriptor_contains(move["X"], p) == expected.contains(p), (n, p)
+
+
+def test_transcripts_grow_linearly():
+    # a WR or WRpi round serialises one column run and the sublevel
+    # points past it, so 4x the rounds may cost at most 4.5x the bytes
+    # (about 4.05x measured).  Exact WR is left out on purpose: it lists
+    # a tail for every free column below the picks each round, so its
+    # transcript grows with the square of the round count (about 13x)
+    for ideal in [WR] + [wr_pi(rank) for rank in RANK_CATALOG.values()]:
+        state = play(ideal, blocking_strategy(), random_opponent(7), 400, seed=7)
+        sizes = [
+            len(json.dumps(transcript_json(GameState(ideal, state.moves[:n], 7))))
+            for n in (100, 400)
+        ]
+        assert sizes[1] <= 4.5 * sizes[0], (ideal.describe(), sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -303,3 +394,4 @@ def test_condition4_examples():
     # dyadic classes grow too slowly for any increasing selector
     w = dyadic_partition()
     assert not condition4_check(w, lambda n: 2 ** (n + 1) - 1, 8)
+

@@ -212,6 +212,20 @@ def test_unbounded_limit_column():
     assert verify_certificate(cert, WEDGE_ZIGZAG, sinking)
 
 
+def test_infinite_limit_is_exact():
+    from gridideals import INF
+
+    assert not isinstance(INF, float) and type(-INF) is type(INF)
+    for x in (Fraction(-10 ** 30), Fraction(7, 3), 0, 10 ** 30):
+        assert -INF < x < INF and INF > x > -INF and x != INF and x <= INF
+        assert INF - x == INF and -INF - x == -INF
+    assert -(-INF) == INF and INF <= INF and not INF < INF and -INF < INF
+    assert sorted([INF, Fraction(1, 2), -INF, 3]) == [-INF, Fraction(1, 2), 3, INF]
+    assert len({INF, type(INF)(), -INF, -(-INF)}) == 2
+    with pytest.raises(TypeError):
+        INF - INF
+
+
 def test_nonidentity_jmap():
     rng = random.Random(9)
     fam = family_limits_increasing(rng, 25)

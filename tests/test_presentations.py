@@ -1,6 +1,9 @@
 import random
+from itertools import pairwise
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridideals import (
     ED,
@@ -24,6 +27,7 @@ from gridideals import (
     restrict,
     wr_pi,
 )
+from gridideals.presentations import split_by_parity
 from support import random_descriptor
 
 
@@ -36,10 +40,10 @@ def test_descriptor_contains_examples():
 
 def test_canonicalization_merges():
     d = SetDescriptor.build(tails=[(4, 0)])
-    assert d.columns == frozenset({4}) and not d.tails
+    assert d.columns == ((4, 4),) and not d.tails
     # points right below a tail fold into it, collapsing to a column
     d = SetDescriptor.build(tails=[(2, 2)], points=[(2, 1), (2, 0)])
-    assert d.columns == frozenset({2}) and not d.points
+    assert d.columns == ((2, 2),) and not d.points
     # points inside a column or tail disappear
     d = SetDescriptor.build(columns=[1], tails=[(3, 2)], points=[(1, 7), (3, 5), (0, 0)])
     assert d.points == frozenset({(0, 0)})
@@ -169,3 +173,78 @@ def test_descriptor_json_round_trip():
     for _ in range(50):
         d = random_descriptor(rng)
         assert SetDescriptor.from_json(d.to_json()) == d
+
+
+# ---------------------------------------------------------------------------
+# canonical form, against sets materialised on a window
+
+W = 16  # atoms are drawn on a W x W window
+_coord = st.integers(0, W - 1)
+_atoms = st.tuples(
+    st.lists(_coord, max_size=10),
+    st.lists(st.tuples(_coord, _coord), max_size=6),
+    st.lists(st.tuples(_coord, _coord), max_size=16),
+)
+
+
+def _materialise(columns, tails, points):
+    """The atoms' set on a window one wider and taller than they are
+    drawn on, so the last row shows what goes on forever."""
+    return {
+        (c, r)
+        for c in range(W + 1)
+        for r in range(W + 1)
+        if c in columns or any(tc == c and r >= s for tc, s in tails) or (c, r) in points
+    }
+
+
+def _window(d, width=W + 1):
+    return {(c, r) for c in range(width) for r in range(W + 1) if d.contains((c, r))}
+
+
+def _assert_canonical(d):
+    runs = d.columns
+    assert all(first <= last for first, last in runs)
+    # sorted, disjoint and maximal: a gap of at least one column between runs
+    assert all(a[1] + 1 < b[0] for a, b in pairwise(runs)), runs
+    on_run = {c for first, last in runs for c in range(first, last + 1)}
+    assert [c for c, _ in d.tails] == sorted({c for c, _ in d.tails})
+    for c, start in d.tails:
+        assert start > 0 and c not in on_run and (c, start - 1) not in d.points
+    tails = dict(d.tails)
+    for c, r in d.points:
+        assert c not in on_run and not (c in tails and r >= tails[c])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_atoms, _atoms, st.integers(-1, W + 2))
+def test_descriptor_canonical_form(a, b, beyond):
+    d, e = SetDescriptor.build(*a), SetDescriptor.build(*b)
+    for x in (d, e, d | e, d & e):
+        _assert_canonical(x)
+    assert SetDescriptor.from_json(d.to_json()) == d
+    expanded = [c for first, last in d.columns for c in range(first, last + 1)]
+    assert SetDescriptor.build(expanded, d.tails, d.points) == d
+    sd, se = _materialise(*a), _materialise(*b)
+    assert _window(d) == sd
+    assert _window(d | e) == sd | se
+    assert _window(d & e) == sd & se
+    # the even columns go to the left summand and the odd ones to the right
+    for side, part in enumerate(split_by_parity(d)):
+        _assert_canonical(part)
+        assert _window(part, W // 2 + 1) == {(c // 2, r) for c, r in sd if c % 2 == side}
+    # a column whose W + 1 window rows are all members is a whole column,
+    # since every tail starts and every point lies in the first W rows
+    c = beyond + 1
+    while all((c, r) in sd for r in range(W + 1)):
+        c += 1
+    free = min(r for r in range(W + 1) if (c, r) not in sd)
+    assert pick_outside(d, beyond=beyond) == (c, free)
+
+
+def test_run_json_rejects_reversed_runs():
+    with pytest.raises(ValueError, match="ends before"):
+        SetDescriptor.from_json({"columns": [[5, 3]]})
+    d = SetDescriptor.from_json({"columns": [[0, 2], [3, 3], [7, 9]], "tails": [[5, 1]]})
+    assert d.columns == ((0, 3), (7, 9))
+    assert d.to_json() == {"columns": [[0, 3], [7, 9]], "tails": [[5, 1]], "points": []}
