@@ -3,24 +3,20 @@
 One job per invocation, JSON in and JSON out.  Exit codes: 0 on success,
 1 on domain or input errors, 2 when a verification command finds a
 violation.  Outputs are byte-identical across runs for identical inputs
-and seeds.
+and seeds.  Each command imports only the modules it runs, so a process
+pays for no other subcommand's imports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import covering, game, gridmaps, monotone, presentations, transfer
-from .covering import RANKED_CHAIN
-
-_IDEALS = {
-    "WR": presentations.WR,
-    "ED": presentations.ED,
-    "EDup": presentations.EDUP,
-}
+if TYPE_CHECKING:
+    from . import monotone, presentations
 
 
 class CliError(ValueError):
@@ -52,6 +48,20 @@ def _naturals(payload, key: str) -> list:
     return values
 
 
+def _object(obj, what: str, required: tuple, optional: tuple = ()) -> dict:
+    """obj as a JSON object with every required key and no other key
+    than the optional ones, as the input schemas demand."""
+    if not isinstance(obj, dict):
+        raise CliError(f"{what} must be a JSON object: {obj!r}")
+    for key in required:
+        if key not in obj:
+            raise CliError(f"{what} lacks {key!r}")
+    unknown = sorted(obj.keys() - {*required, *optional})
+    if unknown:
+        raise CliError(f"{what} has an unknown key {unknown[0]!r}")
+    return obj
+
+
 def _points(payload) -> tuple:
     if isinstance(payload, dict):
         payload = payload.get("points", payload)
@@ -69,8 +79,11 @@ def _points(payload) -> tuple:
 
 
 def _ideal_from_args(args) -> presentations.IdealPresentation:
-    if args.ideal in _IDEALS:
-        return _IDEALS[args.ideal]
+    from . import gridmaps, presentations
+
+    ideals = {"WR": presentations.WR, "ED": presentations.ED, "EDup": presentations.EDUP}
+    if args.ideal in ideals:
+        return ideals[args.ideal]
     if args.ideal == "WRpi":
         rank = gridmaps.RANK_CATALOG.get(args.rank or "")
         if rank is None:
@@ -81,12 +94,29 @@ def _ideal_from_args(args) -> presentations.IdealPresentation:
     raise CliError(f"unknown ideal {args.ideal!r}")
 
 
-def _parse_limit(text):
-    if text == "inf":
+# the limit forms of schemas/mon-descriptor.schema.json: an integer, p/q,
+# inf or -inf.  Fraction alone would also read decimals and exponents,
+# and "1e999999999" would build a billion-digit integer
+_LIMIT = r"-?(inf|[0-9]+(/[0-9]+)?)"
+
+
+def _parse_limit(limit):
+    from fractions import Fraction
+
+    from . import monotone
+
+    if isinstance(limit, int) and not isinstance(limit, bool):
+        limit = str(limit)
+    if not (isinstance(limit, str) and re.fullmatch(_LIMIT, limit)):
+        raise CliError(f"limit must be an integer, 'p/q', 'inf' or '-inf': {limit!r}")
+    if limit == "inf":
         return monotone.INF
-    if text == "-inf":
+    if limit == "-inf":
         return -monotone.INF
-    return Fraction(text)
+    try:
+        return Fraction(limit)
+    except ZeroDivisionError:
+        raise CliError(f"limit has a zero denominator: {limit!r}") from None
 
 
 def _natural_field(obj: dict, key: str, default: int) -> int:
@@ -97,10 +127,15 @@ def _natural_field(obj: dict, key: str, default: int) -> int:
 
 
 def _column_from_json(obj) -> monotone.ColumnSpec:
-    if not isinstance(obj, dict):
-        raise CliError(f"a column must be a JSON object: {obj!r}")
-    mode = obj.get("mode")
-    limit = _parse_limit(str(obj.get("limit")))
+    from fractions import Fraction
+
+    from . import monotone
+
+    _object(obj, "a column", ("mode", "limit"), ("style", "threshold", "jmap"))
+    mode = obj["mode"]
+    if mode not in (monotone.NONDECREASING, monotone.NONINCREASING, monotone.EVENTUALLY_CONSTANT):
+        raise CliError(f"unknown column mode {mode!r}")
+    limit = _parse_limit(obj["limit"])
     jmap = obj.get("jmap", [1, 0])
     natural_pair = isinstance(jmap, list) and len(jmap) == 2 and all(map(_is_natural, jmap))
     if not (natural_pair and jmap[0] >= 1):
@@ -108,6 +143,8 @@ def _column_from_json(obj) -> monotone.ColumnSpec:
     a, b = jmap
     jmap = (lambda a, b: lambda k: a * k + b)(a, b)
     style = obj.get("style", "approach")
+    if style not in ("approach", "linear"):
+        raise CliError(f"unknown column style {style!r}")
     threshold = _natural_field(obj, "threshold", 0)
     if mode == monotone.EVENTUALLY_CONSTANT:
         pivot = jmap(threshold)
@@ -118,51 +155,54 @@ def _column_from_json(obj) -> monotone.ColumnSpec:
             return limit - (pivot - j)
 
     elif style == "approach":
+        if limit in (monotone.INF, -monotone.INF):
+            raise CliError("approach columns need a finite limit")
         if mode == monotone.NONDECREASING:
             def term(j, limit=limit):
                 return limit - Fraction(1, j + 2)
-        elif mode == monotone.NONINCREASING:
+        else:
             def term(j, limit=limit):
                 return limit + Fraction(1, j + 2)
-        else:
-            raise CliError(f"unknown column mode {mode!r}")
-        if limit in (monotone.INF, -monotone.INF):
-            raise CliError("approach columns need a finite limit")
-    elif style == "linear":
-        if mode == monotone.NONDECREASING:
-            def term(j):
-                return Fraction(j)
-        elif mode == monotone.NONINCREASING:
-            def term(j):
-                return Fraction(-j)
-        else:
-            raise CliError(f"unknown column mode {mode!r}")
+    elif mode == monotone.NONDECREASING:
+        def term(j):
+            return Fraction(j)
     else:
-        raise CliError(f"unknown column style {style!r}")
+        def term(j):
+            return Fraction(-j)
     return monotone.ColumnSpec(mode, limit, term, jmap, threshold)
 
 
 def _family_from_json(obj) -> monotone.SequenceFamily:
-    cols = obj.get("columns") if isinstance(obj, dict) else None
+    from . import monotone
+
+    cols = _object(obj, "descriptor", ("columns",), ("depth",))["columns"]
     if not isinstance(cols, list) or not cols:
         raise CliError("descriptor needs a nonempty columns array")
-    return monotone.SequenceFamily(
-        tuple(_column_from_json(c) for c in cols), _natural_field(obj, "depth", 512)
-    )
+    columns = tuple(_column_from_json(c) for c in cols)
+    depth = obj.get("depth", 512)
+    if not (_is_natural(depth) and depth >= 1):
+        raise CliError(f"depth must be a positive integer: {depth!r}")
+    return monotone.SequenceFamily(columns, depth)
 
 
 def _mon_certificate_from_json(obj) -> monotone.MonCertificate:
-    if not isinstance(obj, dict):
-        raise CliError("certificate must be a JSON object")
+    from . import monotone
+
+    _object(obj, "certificate", ("indices", "points", "direction", "witnesses"), ("case",))
     _naturals(obj, "indices")
-    _points(obj.get("points"))
-    witnesses = obj.get("witnesses", [])
+    _points(obj["points"])
+    if obj["direction"] not in ("increasing", "nondecreasing-constant", "decreasing"):
+        raise CliError(f"unknown direction {obj['direction']!r}")
+    if not isinstance(obj.get("case", ""), str):
+        raise CliError(f"case must be a string: {obj['case']!r}")
+    witnesses = obj["witnesses"]
     if not isinstance(witnesses, list):
         raise CliError("witnesses must be a JSON array")
     for w in witnesses:
-        if not isinstance(w, dict):
-            raise CliError(f"a witness must be a JSON object: {w!r}")
-        _points(w.get("points"))
+        _object(w, "a witness", ("level", "points"))
+        if not _is_natural(w["level"]):
+            raise CliError(f"a witness level must be a nonnegative integer: {w['level']!r}")
+        _points(w["points"])
     return monotone.MonCertificate.from_json(obj)
 
 
@@ -171,6 +211,8 @@ def _mon_certificate_from_json(obj) -> monotone.MonCertificate:
 
 
 def _cmd_phi(args) -> int:
+    from . import covering
+
     ideal = _ideal_from_args(args)
     pts = _points(_read_payload(args.input))
     cost, cert = covering.phi(ideal, pts)
@@ -179,6 +221,8 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from . import covering
+
     pts = _points(_read_payload(args.input))
     w = covering.sparsity_witness(pts)
     if w is None:
@@ -189,12 +233,14 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import covering, gridmaps
+
     kinds = tuple(k.strip() for k in args.kinds.split(","))
     for k in kinds:
         if k not in covering.KINDS:
             raise CliError(f"unknown kind {k!r}; choose from {covering.KINDS}")
     rank = gridmaps.RANK_CATALOG.get(args.rank) if args.rank else None
-    if RANKED_CHAIN in kinds and rank is None:
+    if covering.RANKED_CHAIN in kinds and rank is None:
         raise CliError("ranked-chain covers need --rank")
     pts = _points(_read_payload(args.input))
     cert = covering.brute_force_cover(pts, kinds, rank=rank)
@@ -207,6 +253,8 @@ def _map_points(args):
 
 
 def _cmd_map(args) -> int:
+    from . import gridmaps
+
     name = args.name
     if args.map_cmd == "apply":
         if name == "triangle-fold":
@@ -239,8 +287,10 @@ def _cmd_map(args) -> int:
             return 0
         raise CliError(f"unknown map {name!r}")
     if args.map_cmd == "verify":
-        if not 1 <= args.window <= transfer.MAX_WINDOW:
-            raise CliError(f"--window must be between 1 and {transfer.MAX_WINDOW}")
+        from .transfer import MAX_WINDOW
+
+        if not 1 <= args.window <= MAX_WINDOW:
+            raise CliError(f"--window must be between 1 and {MAX_WINDOW}")
         failures = _verify_map(name, args.window)
         _emit({"name": name, "ok": not failures, "failures": failures})
         return 2 if failures else 0
@@ -248,6 +298,8 @@ def _cmd_map(args) -> int:
 
 
 def _verify_map(name: str, window: int) -> list[str]:
+    from . import gridmaps
+
     failures = []
     if name == "triangle-fold":
         for c in range(window):
@@ -279,6 +331,8 @@ def _verify_map(name: str, window: int) -> list[str]:
 
 
 def _cmd_game(args) -> int:
+    from . import game
+
     if args.rounds < 0:
         raise CliError("--rounds must be nonnegative")
     ideal = _ideal_from_args(args)
@@ -300,6 +354,8 @@ def _cmd_game(args) -> int:
 
 
 def _cmd_mon(args) -> int:
+    from . import gridmaps, monotone
+
     payload = _read_payload(args.input)
     index_map = gridmaps.INDEX_MAP_CATALOG.get(args.map)
     if index_map is None:
@@ -321,6 +377,8 @@ def _cmd_mon(args) -> int:
 
 
 def _cmd_sigma(args) -> int:
+    from . import gridmaps, transfer
+
     catalog = gridmaps.RANK_CATALOG
     if args.pi not in catalog or args.pi0 not in catalog:
         raise CliError(f"rank maps must come from {sorted(catalog)}")

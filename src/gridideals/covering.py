@@ -13,10 +13,9 @@ routine.  ED has a closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, zip_longest
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .grid import (
     Point,
@@ -76,14 +75,12 @@ def part_is_valid(kind: str, members: Iterable[Point], rank=None) -> bool:
     return bool(pts) and is_chain(_order(kind, rank), pts)
 
 
-@dataclass(frozen=True)
-class CoverPart:
+class CoverPart(NamedTuple):
     kind: str
     members: tuple[Point, ...]
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(NamedTuple):
     """A disjoint cover of a finite point set by generator traces."""
 
     parts: tuple[CoverPart, ...]
@@ -114,8 +111,7 @@ class CoverCertificate:
         }
 
 
-@dataclass(frozen=True)
-class SparsityWitness:
+class SparsityWitness(NamedTuple):
     points: tuple[Point, ...]
     level: int
 

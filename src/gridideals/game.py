@@ -12,7 +12,6 @@ partitions that surround the game.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .covering import IdealError, phi_cost
@@ -37,11 +36,35 @@ class GameError(RuntimeError):
     pass
 
 
-@dataclass
 class GameState:
-    presentation: IdealPresentation
-    moves: list[tuple[SetDescriptor, Point]] = field(default_factory=list)
-    seed: int | None = None
+    """The presentation played on, the (set, pick) moves so far, and the
+    seed; mutable, compared by value, unhashable."""
+
+    __slots__ = ("presentation", "moves", "seed")
+    __hash__ = None
+
+    def __init__(
+        self,
+        presentation: IdealPresentation,
+        moves: list[tuple[SetDescriptor, Point]] | None = None,
+        seed: int | None = None,
+    ):
+        self.presentation = presentation
+        self.moves = [] if moves is None else moves
+        self.seed = seed
+
+    def __repr__(self) -> str:
+        return (
+            f"GameState(presentation={self.presentation!r}, moves={self.moves!r}, "
+            f"seed={self.seed!r})"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.presentation, self.moves, self.seed) == (
+            other.presentation, other.moves, other.seed
+        )
 
     @property
     def round(self) -> int:

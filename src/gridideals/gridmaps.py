@@ -3,10 +3,8 @@ embeddings."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .grid import Point
 
@@ -42,8 +40,7 @@ def triangle_unfold(q: Point) -> Point:
 # rank maps
 
 
-@dataclass(frozen=True)
-class RankMap:
+class RankMap(NamedTuple):
     """Map from grid points to naturals with exact preimage enumeration.
 
     Instances are expected to be onto and finite-to-one; validate_rank_map
@@ -174,8 +171,7 @@ def wedge_zigzag_index(p: Point) -> int:
     return b * (b + 1) + 2 * (b - j) + 1
 
 
-@dataclass(frozen=True)
-class IndexPointMap:
+class IndexPointMap(NamedTuple):
     """A bijection between the naturals and the grid."""
 
     name: str
@@ -202,6 +198,8 @@ def adversarial_value(n: int) -> Fraction:
     each lower-wedge row, valued in the open interval (level, level+1),
     so monotone index sets enumerate cheaply coverable point sets.
     """
+    from fractions import Fraction
+
     p = wedge_zigzag_point(n)
     i, j = p
     if j >= i:
@@ -238,8 +236,7 @@ def pullback_coloring(
 # partitions of the naturals and their grid embeddings
 
 
-@dataclass(frozen=True)
-class PartitionWitness:
+class PartitionWitness(NamedTuple):
     """A partition of the naturals into indexed classes, each enumerated
     increasingly."""
 
@@ -307,18 +304,47 @@ def partition_from_labels(labels: Iterable[int], name: str = "table") -> Partiti
     return PartitionWitness(class_of, nth, rank_of, False, name)
 
 
-@dataclass(frozen=True)
 class PartitionEmbedding:
     """Injection of the naturals into the grid whose column fibers pull
     back to the partition classes, together with a point enumeration that
-    makes the target a ranked presentation."""
+    makes the target a ranked presentation.
 
-    witness: PartitionWitness
-    window: int
-    mode: str
-    _table: dict[int, Point] = field(repr=False, default_factory=dict)
-    _inverse: dict[Point, int] = field(repr=False, default_factory=dict)
-    _odd_rank: dict[Point, int] = field(repr=False, default_factory=dict)
+    Immutable and compared by value; the three lookup tables are left out
+    of the repr, and being dicts they leave the embedding unhashable.
+    """
+
+    __slots__ = ("witness", "window", "mode", "_table", "_inverse", "_odd_rank")
+    __hash__ = None
+
+    def __init__(
+        self,
+        witness: PartitionWitness,
+        window: int,
+        mode: str,
+        _table: dict[int, Point] | None = None,
+        _inverse: dict[Point, int] | None = None,
+        _odd_rank: dict[Point, int] | None = None,
+    ):
+        tables = ({} if t is None else t for t in (_table, _inverse, _odd_rank))
+        for name, value in zip(self.__slots__, (witness, window, mode, *tables)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (
+            f"PartitionEmbedding(witness={self.witness!r}, window={self.window!r}, "
+            f"mode={self.mode!r})"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def to_point(self, m: int) -> Point:
         try:

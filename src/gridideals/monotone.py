@@ -15,28 +15,46 @@ set provably needs many sparse chains to cover.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from numbers import Rational
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .covering import SparsityWitness, sparsity_witness
 from .grid import Point
 
 
 @total_ordering
-@dataclass(frozen=True)
 class Infinity:
     """An exact infinite limit, INF or -INF.
 
     It lies above (or below) every integer and Fraction, negates, and
     stays itself when a finite value is subtracted, which an eventually
     constant column's terms before its threshold do.  No float enters a
-    comparison with it.
+    comparison with it.  Immutable; equal and hashed by its sign.
     """
 
-    sign: int = 1
+    __slots__ = ("sign",)
+
+    def __init__(self, sign: int = 1):
+        object.__setattr__(self, "sign", sign)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Infinity(sign={self.sign!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sign == other.sign
+
+    def __hash__(self) -> int:
+        return hash((self.sign,))
 
     def __lt__(self, other):
         if isinstance(other, Infinity):
@@ -90,8 +108,7 @@ def _identity(k: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class ColumnSpec:
+class ColumnSpec(NamedTuple):
     """One column: a declared monotone subsequence and its limit.
 
     term maps a grid row to its value; jmap gives the strictly increasing
@@ -109,8 +126,7 @@ class ColumnSpec:
         return self.term(self.jmap(k))
 
 
-@dataclass(frozen=True)
-class SequenceFamily:
+class SequenceFamily(NamedTuple):
     columns: tuple[ColumnSpec, ...]
     depth: int = 512
 
@@ -154,8 +170,7 @@ class SequenceFamily:
                 )
 
 
-@dataclass(frozen=True)
-class MonCertificate:
+class MonCertificate(NamedTuple):
     """A monotone index set with sparsity witnesses attached."""
 
     indices: tuple[int, ...]
@@ -187,8 +202,7 @@ class MonCertificate:
         )
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     reasons: tuple[str, ...] = ()
 

@@ -9,17 +9,15 @@ membership in each presented ideal decidable.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .covering import IdealError
 from .grid import Point, canonical_points, ranked, sparse_before
 from .gridmaps import RankMap
 
 
-@dataclass(frozen=True)
-class SetDescriptor:
+class SetDescriptor(NamedTuple):
     """Symbolic subset of the grid: column runs, column tails, finite points.
 
     The whole columns are kept as maximal runs (first, last) of
@@ -217,8 +215,7 @@ def pick_outside(d: SetDescriptor, beyond: int = -1) -> Point:
 # presentations
 
 
-@dataclass(frozen=True)
-class IdealPresentation:
+class IdealPresentation(NamedTuple):
     """A named generator system.
 
     Atomic families: Fin, WR, ED, EDup, FinxFin, EmptyxFin, and WRpi

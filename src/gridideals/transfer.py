@@ -16,8 +16,7 @@ on samples.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .grid import Point, canonical_points, is_ranked_chain, ranked
 from .gridmaps import RankMap
@@ -68,6 +67,28 @@ def _index_outside(excluded: list[int], y: int) -> int | None:
     return y - i
 
 
+class _Sublevel:
+    """The points of rank at most a rising level, handed out by column.
+
+    Each rank value's preimages are listed once; a point waits under its
+    column until that column is taken.
+    """
+
+    def __init__(self, rank: RankMap):
+        self.rank = rank
+        self.level = -1
+        self.waiting: dict[int, list[Point]] = {}
+
+    def take(self, level: int, first: int, last: int) -> list[Point]:
+        """Raise the level, then remove the waiting points of columns
+        first..last."""
+        for v in range(self.level + 1, level + 1):
+            for p in self.rank.preimages(v):
+                self.waiting.setdefault(p[0], []).append(p)
+        self.level = max(self.level, level)
+        return [p for c in range(first, last + 1) for p in self.waiting.pop(c, ())]
+
+
 class ChainTransfer:
     """The built injection; total on every point with col < col_bound."""
 
@@ -79,8 +100,12 @@ class ChainTransfer:
         self.m = [1]
         self.stalled: tuple[int, ...] = ()
         self.col_bound = 0
-        self._A = [frozenset()]
         self._arows: list[list[int]] = [[]]
+        # the a-sets and the strips' low points grow stage by stage, and
+        # the edge is a running maximum
+        self._pi_sub = _Sublevel(pi)
+        self._pi0_sub = _Sublevel(pi0)
+        self._reach: int | None = None
         self._lows: list[list[int]] = [[]]
         self._sp: dict[Point, Point] = {}
         self._spi: dict[Point, Point] = {}
@@ -140,22 +165,29 @@ class ChainTransfer:
         return out
 
     def _run_stage(self) -> list[Point]:
-        """Append the next a-set and strip edge; return the new strip's remainder."""
+        """Append the next a-set and strip edge; return the new strip's remainder.
+
+        The a-set A_n holds the points of pi rank at most 2n in columns
+        0..2n, so it grows from A_{n-1} by the preimages of the two new
+        rank values and the points of the two new columns.
+        """
         n = len(self.m)
         if n > MAX_STAGES:
             raise TransferError("stage limit exceeded while growing the strip edges")
-        an = frozenset(
-            p for v in range(2 * n + 1) for p in self.pi.preimages(v) if p[0] <= 2 * n
-        )
-        self._A.append(an)
-        self._arows.append(sorted(r for c, r in an if c == 2 * n))
+        new = set(self._pi_sub.take(2 * n, 0, 2 * n))
+        self._arows.append(sorted(r for c, r in new if c == 2 * n))
         # the edge is the largest pi0 rank among the block points the a-set
-        # reaches in the earlier even columns
-        sources = [self._even_source(q) for q in an if q[0] % 2 == 0]
-        vals = [self.pi0(d) for d in sources if d is not None]
+        # reaches in the earlier even columns.  Column 2(n-1) has a strip
+        # only from this stage on; every other even-column point was read
+        # when it joined the a-set
+        fresh = [q for q in new if q[0] % 2 == 0 and q[0] < 2 * n]
+        fresh += [(2 * n - 2, r) for r in self._arows[n - 1]]
+        reached = [self.pi0(d) for d in map(self._even_source, fresh) if d is not None]
+        if self._reach is not None:
+            reached.append(self._reach)
         lo = self.m[-1]
-        if vals:
-            edge = max(vals)
+        if reached:
+            edge = self._reach = max(reached)
             if edge < lo:
                 raise TransferError("strip edges decreased; inconsistent rank maps")
         else:
@@ -163,9 +195,9 @@ class ChainTransfer:
             self.stalled += (n,)
         self.m.append(edge)
         width = edge - lo
-        low = [
-            p for v in range(edge + 1) for p in self.pi0.preimages(v) if lo <= p[0] < edge
-        ] if width else []
+        # the strip's points of pi0 rank at most its edge; points of an
+        # earlier strip's columns that rank above its edge wait unused
+        low = self._pi0_sub.take(edge, lo, edge - 1)
         self._lows.append(sorted(r * width + c - lo for c, r in low))
         return low
 
@@ -229,8 +261,7 @@ def build_chain_transfer(pi: RankMap, pi0: RankMap, window: int) -> ChainTransfe
     return built
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """Split of a chain generator's preimage with per-part verdicts."""
 
     remainder_preimage: tuple[Point, ...]

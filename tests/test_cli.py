@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -151,6 +154,11 @@ def test_bad_points_rejected():
         (["map", "invert", "--name", "diag-rank"], '["a"]'),
         (["map", "invert", "--name", "diag-rank"], "[true]"),
         (["map", "apply", "--name", "wedge-zigzag"], "[true]"),
+        # one input for each constraint of schemas/points.schema.json
+        (["phi", "--ideal", "WR"], "7"),
+        (["witness"], "[5]"),
+        (["oracle", "cover", "--kinds", "graph"], "[[0,1,2]]"),
+        (["map", "apply", "--name", "triangle-fold"], "[[0.5,1]]"),
     ],
 )
 def test_non_natural_inputs_rejected(argv, payload):
@@ -182,14 +190,20 @@ def _mon_column(**fields):
     return {"mode": "eventually-constant", "limit": "2", "threshold": 2, **fields}
 
 
-def _mon_extract(*columns):
-    return ["mon", "extract", "--target-len", "2"], json.dumps({"columns": list(columns)})
+def _mon_extract(*columns, **descriptor):
+    return ["mon", "extract", "--target-len", "1"], json.dumps(
+        {"columns": list(columns), **descriptor}
+    )
 
 
-def _mon_verify(**certificate):
+def _mon_verify(drop=(), **certificate):
     cert = {"indices": [0], "points": [[0, 0]], "direction": "increasing", "witnesses": []}
-    payload = {"descriptor": {"columns": [_mon_column()]}, "certificate": {**cert, **certificate}}
+    cert = {k: v for k, v in {**cert, **certificate}.items() if k not in drop}
+    payload = {"descriptor": {"columns": [_mon_column()]}, "certificate": cert}
     return ["mon", "verify"], json.dumps(payload)
+
+
+_WITNESS = {"level": 0, "points": [[0, 0]]}
 
 
 @pytest.mark.parametrize(
@@ -202,13 +216,71 @@ def _mon_verify(**certificate):
         _mon_extract(_mon_column(threshold=[2])),
         _mon_extract(1),
         _mon_verify(points=[5]),
+        # one input for each constraint of schemas/mon-descriptor.schema.json
+        (["mon", "extract", "--target-len", "1"], "[]"),
+        (["mon", "extract", "--target-len", "1"], '{"depth": 4}'),
+        _mon_extract(_mon_column(), depth=0),
+        _mon_extract(_mon_column(), depth="9"),
+        (["mon", "extract", "--target-len", "1"], '{"columns": {"mode": "nondecreasing"}}'),
+        _mon_extract(),
+        _mon_extract(_mon_column(), order="asc"),
+        _mon_extract({"limit": "1"}),
+        _mon_extract({"mode": "nondecreasing"}),
+        _mon_extract({"mode": "sideways", "limit": "1"}),
+        _mon_extract({"mode": "nondecreasing", "limit": 1.5}),
+        _mon_extract({"mode": "nondecreasing", "limit": "1e999999999"}),
+        _mon_extract({"mode": "nondecreasing", "limit": "1/0"}),
+        _mon_extract(_mon_column(style="zigzag")),
+        _mon_extract(_mon_column(threshold=-1)),
+        _mon_extract(_mon_column(jmap=3)),
+        _mon_extract(_mon_column(jmap=[1])),
+        _mon_extract(_mon_column(jmap=[1, 0, 0])),
+        _mon_extract(_mon_column(color="red")),
+        # one input for each constraint of schemas/mon-certificate.schema.json
+        (["mon", "verify"], json.dumps({"descriptor": {"columns": [_mon_column()]},
+                                        "certificate": []})),
+        _mon_verify(drop=("indices",)),
+        _mon_verify(drop=("points",)),
+        _mon_verify(drop=("direction",)),
+        _mon_verify(drop=("witnesses",)),
+        _mon_verify(indices=5),
+        _mon_verify(indices=[-1]),
+        _mon_verify(direction="sideways"),
+        _mon_verify(case=3),
+        _mon_verify(witnesses={}),
+        _mon_verify(witnesses=[3]),
+        _mon_verify(witnesses=[{"points": [[0, 0]]}]),
+        _mon_verify(witnesses=[{"level": 0}]),
+        _mon_verify(witnesses=[{**_WITNESS, "level": -1}]),
+        _mon_verify(witnesses=[{**_WITNESS, "points": [[0]]}]),
+        _mon_verify(witnesses=[{**_WITNESS, "note": "x"}]),
+        _mon_verify(note="x"),
     ],
     ids=["verify-array", "jmap-str", "jmap-float", "jmap-negative", "threshold-array",
-         "column-int", "cert-points-int"],
+         "column-int", "cert-points-int",
+         "descriptor-array", "columns-missing", "depth-zero", "depth-str", "columns-object",
+         "columns-empty", "descriptor-extra-key", "mode-missing", "limit-missing",
+         "mode-unknown", "limit-float", "limit-exponent", "limit-zero-denominator",
+         "style-unknown", "threshold-negative", "jmap-int", "jmap-short", "jmap-long",
+         "column-extra-key",
+         "cert-array", "cert-indices-missing", "cert-points-missing", "cert-direction-missing",
+         "cert-witnesses-missing", "cert-indices-int", "cert-indices-negative",
+         "cert-direction-unknown", "cert-case-int", "cert-witnesses-object", "witness-int",
+         "witness-level-missing", "witness-points-missing", "witness-level-negative",
+         "witness-points-short", "witness-extra-key", "cert-extra-key"],
 )
 def test_malformed_mon_input_rejected(argv, payload):
     code, out = run_cli(argv, payload)
     assert code == 1 and "error" in json.loads(out)
+
+
+def test_malformed_mon_inputs_break_one_rule():
+    # the inputs above differ from these by one broken rule; these pass
+    # validation, so an error above comes from the rule alone
+    code, out = run_cli(*_mon_extract(_mon_column(), {"mode": "nondecreasing", "limit": "1"}))
+    assert code == 0, out
+    code, out = run_cli(*_mon_verify(witnesses=[_WITNESS], case="limits-increasing"))
+    assert code in (0, 2) and "error" not in json.loads(out)
 
 
 def test_outputs_byte_identical():
@@ -279,3 +351,58 @@ def test_cli_agrees_with_library():
             doc = json.loads(out)
             assert doc["phi"] == cost
             assert doc["certificate"] == cert.to_json()
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# one input per subcommand
+FRESH_JOBS = {
+    "phi": (["phi", "--ideal", "WRpi", "--rank", "diag-rank"], "[[0,5],[1,4],[2,3]]"),
+    "witness": (["witness"], "[[0,5],[1,4],[2,3]]"),
+    "oracle": (["oracle", "cover", "--kinds", "vertical-line,sparse-chain"], "[[0,5],[1,4]]"),
+    "map": (["map", "invert", "--name", "max-rank"], "[0,3]"),
+    "game": (["game", "play", "--rounds", "5", "--seed", "3"], ""),
+    "mon": _mon_extract(_mon_column(), {"mode": "nondecreasing", "limit": "1"}),
+    "sigma": (["sigma", "build", "--pi", "max-rank", "--pi0", "skew-rank", "--window", "6"], ""),
+}
+
+
+def _fresh_process(args, stdin):
+    """Run the interpreter on args; return the process and the modules it
+    imported, read from the interpreter's own import log."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], input=stdin, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=path), cwd=ROOT, timeout=120,
+    )
+    log = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return proc, {line.rsplit("|", 1)[1].strip() for line in log}
+
+
+def test_fresh_process_cli():
+    # `python -m gridideals.cli` goes through runpy and the lazy package
+    # __init__, which the in-process tests above never do
+    _, startup = _fresh_process(["-c", "pass"], "")
+    loaded = {}
+    for name, (argv, stdin) in FRESH_JOBS.items():
+        proc, imported = _fresh_process(["-m", "gridideals.cli", *argv], stdin)
+        assert (proc.returncode, proc.stdout) == run_cli(argv, stdin), name
+        loaded[name] = imported - startup
+    for name, modules in loaded.items():
+        assert "dataclasses" not in modules, name
+        assert name == "mon" or "fractions" not in modules, name
+    assert "fractions" in loaded["mon"] | startup
+    assert not loaded["phi"] & {"gridideals.game", "gridideals.monotone", "gridideals.transfer"}
+
+
+def test_package_names_follow_their_module(monkeypatch):
+    # the package copies no name, so a rebinding in the submodule (as the
+    # benchmark's tracer makes) shows through it
+    import gridideals
+    from gridideals import covering
+
+    assert gridideals.phi is covering.phi
+    monkeypatch.setattr(covering, "phi", len)
+    assert gridideals.phi is len and "phi" not in vars(gridideals)
+    with pytest.raises(AttributeError):
+        gridideals.no_such_name

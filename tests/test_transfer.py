@@ -20,9 +20,17 @@ from gridideals import (
 PAIRS = [(DIAG_RANK, DIAG_RANK), (MAX_RANK, SKEW_RANK), (OFFSET_RANK, DIAG_RANK)]
 
 
+def _a_set(t, n):
+    """A_n by its definition: the points of (adjusted) pi rank at most 2n
+    in columns 0..2n; A_0 is empty."""
+    if n == 0:
+        return frozenset()
+    return frozenset(p for v in range(2 * n + 1) for p in t.pi.preimages(v) if p[0] <= 2 * n)
+
+
 def test_first_stage_values():
     t = build_chain_transfer(DIAG_RANK, DIAG_RANK, 16)
-    assert sorted(t._A[1]) == [(0, 0), (0, 1), (1, 0)]
+    assert sorted(_a_set(t, 1)) == [(0, 0), (0, 1), (1, 0)]
     assert t.m[0] == 1 and t.m[1] == 1  # first strip is empty
     assert 1 in t.stalled or t.m[1] == t.m[0]
 
@@ -133,17 +141,28 @@ def test_window_independence():
                 assert small.apply((c, r)) == big.apply((c, r))
 
 
+def test_incremental_a_sets_match_definition():
+    # the build grows each a-set from the last; the rows it keeps in the
+    # new even column must be those of the a-set defined from scratch
+    for pi in RANK_CATALOG.values():
+        for pi0 in RANK_CATALOG.values():
+            t = build_chain_transfer(pi, pi0, 24)
+            for n in range(1, len(t.m)):
+                assert t._arows[n] == sorted(r for c, r in _a_set(t, n) if c == 2 * n)
+
+
 def _transfer_digest(t, window):
     inverse = [t.invert((c, r)) for c in range(2 * len(t.m) + 3) for r in range(80)]
+    a_sets = [sorted(_a_set(t, n)) for n in range(len(t.m))]
     doc = [
         t.m, list(t.stalled), t.adjusted, t.col_bound,
-        [sorted(a) for a in t._A], sorted(t._spi.items()), t.table(window, window), inverse,
+        a_sets, sorted(t._spi.items()), t.table(window, window), inverse,
     ]
     return json.dumps(doc).encode()
 
 
-# sha256 over the 16 catalog pairs in name order: the edges, the a-sets, the
-# remainder placement, the forward table and the inverse on even and odd columns
+# sha256 over the 16 catalog pairs in name order: the edges, the a-sets (by
+# their definition, for the stages built), the remainder placement, the forward table and the inverse on even and odd columns
 TRANSFER_DIGESTS = {
     5: "443ea134267844c316c6bb777d70e82bf74b2a4319941a4c395d896e3ab0dbb3",
     16: "e7af31abc86340bfc2cf35cc437f1c299de33349571bda04ff77726f1a3b5a71",
