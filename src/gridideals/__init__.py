@@ -16,7 +16,7 @@ _EXPORTS = {
     for module, names in {
         "covering": """
             GRAPH NONDECREASING_GRAPH RANKED_CHAIN SPARSE_CHAIN VERTICAL_LINE
-            CoverCertificate CoverPart IdealError OracleScaleError SparsityWitness
+            CoverCertificate CoverPart IdealError OracleScaleError SearchScaleError SparsityWitness
             brute_force_cover oracle_cover_cost phi phi_cost sparse_chain_cover_number
             sparsity_witness
         """,

@@ -6,13 +6,21 @@ chains).  Each chain kind is a strict partial order on the grid (the
 order table in ``grid``), so a minimum cover is a minimum partition into
 lines and chains, and its cost is the number of parts.  A bitmask
 partition DP serves as the independent oracle.  The structured solver
-for WR, EDup and WRpi is one driver: it tries which occupied columns
-become whole lines and partitions the rest with the family's one chain
-routine.  ED has a closed form.
+for WR, EDup and WRpi is one search over which occupied columns become
+whole lines, with the rest partitioned by the family's one chain
+routine.  Each chain kind also has an antichain routine, points that
+need one chain each; by Dilworth's theorem the sparse-chain and
+nondecreasing-graph antichains are as large as the partitions, and the
+search cuts its branches with them (the ranked one is the most
+populated column).  The search is exponential in the worst case and
+stops with ``SearchScaleError`` past ``MAX_SEARCH_NODES`` nodes.  ED
+has a closed form.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from functools import partial
 from itertools import combinations, zip_longest
 from typing import Iterable, NamedTuple, Sequence
@@ -36,6 +44,13 @@ RANKED_CHAIN = "ranked-chain"
 
 ORACLE_LIMIT = 12
 
+# The line search enumerates the subsets of at most SMALL_COLUMNS
+# columns without bounds, which costs less there.  Past MAX_SEARCH_NODES
+# nodes it stops: the seeded cover ladder needs at most 2,994 and
+# 40-point WR sets in a 28x28 box at most 19,187.
+SMALL_COLUMNS = 6
+MAX_SEARCH_NODES = 1_000_000
+
 # The generator kinds; the oracle labels a block that fits several with
 # the first of them.
 KINDS = (SPARSE_CHAIN, NONDECREASING_GRAPH, GRAPH, RANKED_CHAIN, VERTICAL_LINE)
@@ -47,6 +62,10 @@ class IdealError(ValueError):
 
 class OracleScaleError(ValueError):
     """Raised when the brute-force oracle is asked about too many points."""
+
+
+class SearchScaleError(ValueError):
+    """Raised when the line search of a cover passes its node bound."""
 
 
 _ORDERS = {
@@ -276,6 +295,26 @@ def sparse_chain_cover_number(points) -> int:
     return len(sparse_chain_partition(points))
 
 
+def sparse_antichain(points) -> list[Point]:
+    """Points needing one sparse chain each, as many as the partition has
+    chains: those whose spans [col, col+row] contain the busiest column.
+
+    Spans that share a column pairwise overlap, and the proof above
+    finds a column in k+1 spans when first fit opens its (k+1)-th chain.
+    """
+    pts = canonical_points(points)
+    ends = sorted(p[0] + p[1] for p in pts)
+    busiest, depth, gone = None, 0, 0
+    for k, p in enumerate(pts):
+        if k + 1 < len(pts) and pts[k + 1][0] == p[0]:
+            continue
+        while ends[gone] < p[0]:
+            gone += 1
+        if k + 1 - gone > depth:
+            busiest, depth = p[0], k + 1 - gone
+    return [p for p in pts if p[0] <= busiest <= p[0] + p[1]] if pts else []
+
+
 def _column_groups(pts):
     groups: dict[int, list[Point]] = {}
     for p in pts:
@@ -356,6 +395,44 @@ def nondecreasing_chain_partition(points) -> list[tuple[Point, ...]]:
     return chains
 
 
+def nondecreasing_antichain(points) -> list[Point]:
+    """Points needing one nondecreasing graph each, as many as the
+    partition has chains: a longest strictly decreasing run of rows in
+    (column, -row) order, so columns never decrease and rows fall.
+
+    Two points of such a run share a column or have the later one lower;
+    conversely any set of pairwise incomparable points is such a run, so
+    the longest has the size of a largest antichain, which is the chain
+    count by Dilworth's theorem.
+    """
+    pts = sorted(set(points), key=lambda p: (p[0], -p[1]))
+    keys: list[int] = []  # keys[k]: least -row ending a run of length k+1
+    ends: list[int] = []
+    prev: list[int] = []
+    for i, p in enumerate(pts):
+        k = bisect_left(keys, -p[1])
+        if k == len(keys):
+            keys.append(-p[1])
+            ends.append(i)
+        else:
+            keys[k], ends[k] = -p[1], i
+        prev.append(ends[k - 1] if k else -1)
+    run = []
+    i = ends[-1] if ends else -1
+    while i != -1:
+        run.append(pts[i])
+        i = prev[i]
+    return sorted(run)
+
+
+def ranked_antichain(points) -> list[Point]:
+    """Points needing one ranked chain each, for every rank map: the most
+    populated column, the leftmost on a tie.  A chain holds one point
+    per column."""
+    groups = _column_groups(canonical_points(points))
+    return max(groups.values(), key=len, default=[])
+
+
 def _ranked_chain_partition(pts, rank) -> list[tuple[Point, ...]]:
     """Minimum partition into ranked chains: by the oracle, except that a
     set which already is one chain needs no search."""
@@ -364,18 +441,87 @@ def _ranked_chain_partition(pts, rank) -> list[tuple[Point, ...]]:
     return [part.members for part in brute_force_cover(pts, (RANKED_CHAIN,), rank=rank).parts]
 
 
-def _best_lines(pts, partition) -> tuple[tuple[int, ...], list[tuple[Point, ...]]]:
+def _best_lines(
+    pts, partition, antichain, family
+) -> tuple[tuple[int, ...], list[tuple[Point, ...]]]:
     """Lines on some occupied columns and a chain partition of the other
     points, together the fewest generators covering pts.
 
-    Line subsets are tried by increasing size, so among minimum covers the
-    first with the fewest lines, in ``combinations`` order, wins.  A chain
-    holds at most one point per column, so a subset whose size plus the
-    largest remaining multiplicity reaches the best cost cannot beat it
-    and is skipped without partitioning.
+    Line subsets are tried by increasing size, then in ``combinations``
+    order, and a subset replaces the best only at a strictly lower cost,
+    so among minimum covers the first with the fewest lines wins.  Each
+    point of an antichain needs its own chain, and a chain holds at most
+    one point per column.  So a subset whose size plus the largest
+    remaining multiplicity, or plus the antichain of the points it
+    leaves, reaches the best cost cannot beat it and is not partitioned.
+
+    Above ``SMALL_COLUMNS`` columns each size is a depth-first search in
+    that order.  A node has fixed a prefix of its subset: the columns
+    taken as lines, the columns passed over before the last of them, and
+    ``need`` lines still to take from the open columns after it.  Two
+    antichains bound every cover below a node: that of the points off
+    the lines, less its points on the ``need`` open columns holding most
+    of them, and that of the passed-over columns.  A node whose bound
+    reaches the best cost holds no subset that could replace the best,
+    and is cut.  Past ``MAX_SEARCH_NODES`` nodes the search raises
+    ``SearchScaleError``.
     """
     groups = _column_groups(pts)
     cols = sorted(groups)
+    if len(cols) <= SMALL_COLUMNS:
+        return _enumerate_lines(pts, partition, groups, cols)
+    n = len(cols)
+    best_lines, best_chains = (), partition(pts)
+    best, nodes = len(best_chains), 1
+    for size in range(1, n + 1):
+        if size >= best:
+            break
+        # one frame per node being expanded: its lines, the next column to take
+        frames = [[(), 0]]
+        while frames:
+            frame = frames[-1]
+            lines, i = frame
+            need = size - len(lines) - 1
+            if i + need >= n:
+                frames.pop()
+                continue
+            frame[1] = i + 1
+            lines += (cols[i],)
+            nodes += 1
+            if nodes > MAX_SEARCH_NODES:
+                raise SearchScaleError(
+                    f"covering search bound exceeded: {family}, {len(pts)} points"
+                    f" in {n} columns, more than {MAX_SEARCH_NODES} nodes"
+                )
+            if need == 0:
+                mult = max((len(groups[c]) for c in cols if c not in lines), default=0)
+                if size + mult >= best:
+                    continue
+            live = [p for p in pts if p[0] not in lines]
+            kept = antichain(live)
+            if need == 0:
+                if size + len(kept) < best:
+                    chains = partition(live)
+                    if size + len(chains) < best:
+                        best, best_lines, best_chains = size + len(chains), lines, chains
+                continue
+            on_open = Counter(p[0] for p in kept if p[0] > cols[i])
+            takeable = sum(sorted(on_open.values(), reverse=True)[:need])
+            if size + len(kept) - takeable >= best:
+                continue
+            passed = [p for c in cols[:i] if c not in lines for p in groups[c]]
+            if size + len(antichain(passed)) >= best:
+                # the later siblings pass over these columns and more
+                frames.pop()
+                continue
+            frames.append([lines, i + 1])
+    return best_lines, best_chains
+
+
+def _enumerate_lines(pts, partition, groups, cols):
+    """``_best_lines`` on few columns: every subset in turn, skipped
+    only by the largest multiplicity left (a chain holds one point per
+    column), which costs less than the search's bounds here."""
     best = None
     for size in range(len(cols) + 1):
         if best is not None and size >= best:
@@ -407,16 +553,18 @@ def _solve(ideal, pts):
         lines = _ed_lines(pts)
         return GRAPH, lines, _graph_partition([p for p in pts if p[0] not in lines])
     if family == "WR":
-        kind, partition = SPARSE_CHAIN, sparse_chain_partition
+        kind, partition, antichain = SPARSE_CHAIN, sparse_chain_partition, sparse_antichain
     elif family == "EDup":
         kind, partition = NONDECREASING_GRAPH, nondecreasing_chain_partition
+        antichain = nondecreasing_antichain
     elif family == "WRpi":
         if rank is None:
             raise IdealError("ranked family without a rank map")
         kind, partition = RANKED_CHAIN, partial(_ranked_chain_partition, rank=rank)
+        antichain = ranked_antichain
     else:
         raise IdealError(f"no generator system: {family!r}")
-    return (kind, *_best_lines(pts, partition))
+    return (kind, *_best_lines(pts, partition, antichain, family))
 
 
 def phi(ideal, points) -> tuple[int, CoverCertificate]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 from gridideals import (
     ColumnSpec,
@@ -17,6 +18,7 @@ from gridideals import (
     pick_outside,
     point_sum,
 )
+from gridideals.covering import _column_groups
 
 
 def random_points(rng: random.Random, width: int, height: int, max_n: int):
@@ -87,6 +89,35 @@ def reference_blocking_strategy(exact: bool = False):
         raise GameError(f"no blocking strategy for {fam!r}")
 
     return strategy
+
+
+def reference_best_lines(pts, partition):
+    """covering._best_lines as every subset enumeration: the reference the
+    bounded search must match, lines and chains.
+
+    Line subsets are tried by increasing size, so among minimum covers the
+    first with the fewest lines, in ``combinations`` order, wins.  A chain
+    holds at most one point per column, so a subset whose size plus the
+    largest remaining multiplicity reaches the best cost cannot beat it
+    and is skipped without partitioning.
+    """
+    groups = _column_groups(pts)
+    cols = sorted(groups)
+    best = None
+    for size in range(len(cols) + 1):
+        if best is not None and size >= best:
+            break
+        for chosen in combinations(cols, size):
+            line_cols = set(chosen)
+            if best is not None:
+                mult = max((len(groups[c]) for c in cols if c not in line_cols), default=0)
+                if size + mult >= best:
+                    continue
+            chains = partition([p for p in pts if p[0] not in line_cols])
+            if best is None or size + len(chains) < best:
+                best = size + len(chains)
+                best_lines, best_chains = chosen, chains
+    return best_lines, best_chains
 
 
 def json_descriptor_contains(doc: dict, p) -> bool:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from gridideals import cli, game, transfer
+from gridideals import cli, covering, game, transfer
 
 
 def run_cli(argv, stdin=""):
@@ -184,6 +184,16 @@ def test_non_natural_inputs_rejected(argv, payload):
 def test_vacuous_or_unbounded_runs_rejected(argv):
     code, out = run_cli(argv)
     assert code == 1 and "error" in json.loads(out)
+
+
+def test_line_search_past_its_bound_is_a_json_error(monkeypatch):
+    monkeypatch.setattr(covering, "MAX_SEARCH_NODES", 3)
+    pts = [[c, (5 * c) % 7] for c in range(10)] + [[c, 7] for c in range(0, 10, 2)]
+    code, out = run_cli(["phi", "--ideal", "EDup"], json.dumps(pts))
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "covering search bound exceeded: EDup, 15 points in 10 columns, more than 3 nodes"
+    }
 
 
 def _mon_column(**fields):

@@ -2,9 +2,12 @@ import hashlib
 import json
 import random
 import sys
+from functools import partial
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridideals import (
     DIAG_RANK,
@@ -23,14 +26,25 @@ from gridideals import (
     sparsity_witness,
     wr_pi,
 )
+from gridideals import covering
 from gridideals.covering import (
     GRAPH,
     NONDECREASING_GRAPH,
     RANKED_CHAIN,
+    nondecreasing_antichain,
     nondecreasing_chain_partition,
+    ranked_antichain,
+    sparse_antichain,
     sparse_chain_partition,
 )
-from support import random_points, random_sparse_chain, random_witness_family, stack_depth
+from gridideals.grid import nondecreasing_before, ranked, sparse_before
+from support import (
+    random_points,
+    random_sparse_chain,
+    random_witness_family,
+    reference_best_lines,
+    stack_depth,
+)
 
 
 def test_brute_force_examples():
@@ -270,3 +284,76 @@ def test_certificates_match_recorded_digests():
             total += cost
         got[name] = (digest.hexdigest(), total)
     assert got == CERTIFICATE_DIGESTS
+
+
+def _pairwise_incomparable(before, pts):
+    return all(not before(a, b) for a, b in combinations(sorted(pts), 2))
+
+
+def test_antichains_are_incomparable_and_as_large_as_the_partitions():
+    rng = random.Random(59)
+    for _ in range(300):
+        pts = random_points(rng, rng.randint(1, 12), rng.randint(1, 12), 30)
+        for antichain, before, partition in (
+            (sparse_antichain, sparse_before, sparse_chain_partition),
+            (nondecreasing_antichain, nondecreasing_before, nondecreasing_chain_partition),
+        ):
+            found = antichain(pts)
+            assert set(found) <= set(pts) and len(set(found)) == len(found)
+            assert _pairwise_incomparable(before, found), (antichain.__name__, pts)
+            assert len(found) == len(partition(pts)), (antichain.__name__, pts)
+        found = ranked_antichain(pts)
+        assert set(found) <= set(pts)
+        assert len(found) == max((sum(p[0] == c for p in pts) for c, _ in pts), default=0)
+        for rank in RANK_CATALOG.values():
+            assert _pairwise_incomparable(ranked(rank), found)
+
+
+_FAMILY_ROUTINES = {
+    "WR": (sparse_chain_partition, sparse_antichain),
+    "EDup": (nondecreasing_chain_partition, nondecreasing_antichain),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_FAMILY_ROUTINES)),
+    pts=st.sets(st.tuples(st.integers(0, 10), st.integers(0, 11)), min_size=13, max_size=18),
+)
+def test_line_search_matches_enumeration(family, pts):
+    pts = tuple(sorted(pts))
+    partition, antichain = _FAMILY_ROUTINES[family]
+    got = covering._best_lines(pts, partition, antichain, family)
+    assert got == reference_best_lines(pts, partition)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rank_name=st.sampled_from(sorted(RANK_CATALOG)),
+    pts=st.sets(st.tuples(st.integers(0, 11), st.integers(0, 6)), min_size=7, max_size=12),
+)
+def test_ranked_line_search_matches_enumeration(rank_name, pts):
+    pts = tuple(sorted(pts))
+    rank = RANK_CATALOG[rank_name]
+    partition = partial(covering._ranked_chain_partition, rank=rank)
+    got = covering._best_lines(pts, partition, ranked_antichain, "WRpi")
+    assert got == reference_best_lines(pts, partition)
+
+
+def test_line_search_node_bound(monkeypatch):
+    pts = random.Random(61).sample([(c, r) for c in range(12) for r in range(12)], 30)
+    monkeypatch.setattr(covering, "MAX_SEARCH_NODES", 3)
+    message = f"covering .*: WR, 30 points in {len({p[0] for p in pts})} columns"
+    with pytest.raises(covering.SearchScaleError, match=message):
+        phi(WR, pts)
+    assert issubclass(covering.SearchScaleError, ValueError)
+
+
+@pytest.mark.parametrize("family", ["WR", "EDup"])
+def test_forty_points_solve_within_the_node_bound(monkeypatch, family):
+    monkeypatch.setattr(covering, "MAX_SEARCH_NODES", 50_000)
+    pool = [(c, r) for c in range(28) for r in range(28)]
+    for seed in range(20):
+        pts = random.Random(f"scale-{family}-{seed}").sample(pool, 40)
+        cost, cert = phi(family, pts)
+        assert cost == cert.cost and cert.validate(pts)
