@@ -6,12 +6,14 @@ chains).  Each chain kind is a strict partial order on the grid (the
 order table in ``grid``), so a minimum cover is a minimum partition into
 lines and chains, and its cost is the number of parts.  A bitmask
 partition DP serves as the independent oracle.  The structured solver
-for WR, EDup and WRpi is one search over which occupied columns become
-whole lines, with the rest partitioned by the family's one chain
-routine.  Each chain kind also has an antichain routine, points that
+for WR, EDup and WRpi is one depth-first search over which occupied
+columns become whole lines, on every point set, with the rest
+partitioned by the family's one chain routine.  A chain holds one point
+per column, so the column multiplicities bound every node of the
+search.  Each chain kind also has an antichain routine, points that
 need one chain each; by Dilworth's theorem the sparse-chain and
 nondecreasing-graph antichains are as large as the partitions, and the
-search cuts its branches with them (the ranked one is the most
+search cuts its branches with them too (the ranked one is the most
 populated column).  The search is exponential in the worst case and
 stops with ``SearchScaleError`` past ``MAX_SEARCH_NODES`` nodes.  ED
 has a closed form.
@@ -19,10 +21,9 @@ has a closed form.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from functools import partial
-from itertools import combinations, zip_longest
+from itertools import zip_longest
 from typing import Iterable, NamedTuple, Sequence
 
 from .grid import (
@@ -31,6 +32,7 @@ from .grid import (
     graph_before,
     is_chain,
     is_ranked_chain,
+    longest_increasing,
     nondecreasing_before,
     ranked,
     sparse_before,
@@ -44,11 +46,9 @@ RANKED_CHAIN = "ranked-chain"
 
 ORACLE_LIMIT = 12
 
-# The line search enumerates the subsets of at most SMALL_COLUMNS
-# columns without bounds, which costs less there.  Past MAX_SEARCH_NODES
-# nodes it stops: the seeded cover ladder needs at most 2,994 and
-# 40-point WR sets in a 28x28 box at most 19,187.
-SMALL_COLUMNS = 6
+# The line search stops past MAX_SEARCH_NODES nodes: the seeded cover
+# ladder needs at most 2,991 and 40-point WR sets in a 28x28 box at most
+# 19,010.
 MAX_SEARCH_NODES = 1_000_000
 
 # The generator kinds; the oracle labels a block that fits several with
@@ -406,23 +406,7 @@ def nondecreasing_antichain(points) -> list[Point]:
     count by Dilworth's theorem.
     """
     pts = sorted(set(points), key=lambda p: (p[0], -p[1]))
-    keys: list[int] = []  # keys[k]: least -row ending a run of length k+1
-    ends: list[int] = []
-    prev: list[int] = []
-    for i, p in enumerate(pts):
-        k = bisect_left(keys, -p[1])
-        if k == len(keys):
-            keys.append(-p[1])
-            ends.append(i)
-        else:
-            keys[k], ends[k] = -p[1], i
-        prev.append(ends[k - 1] if k else -1)
-    run = []
-    i = ends[-1] if ends else -1
-    while i != -1:
-        run.append(pts[i])
-        i = prev[i]
-    return sorted(run)
+    return sorted(pts[i] for i in longest_increasing([-p[1] for p in pts]))
 
 
 def ranked_antichain(points) -> list[Point]:
@@ -448,55 +432,62 @@ def _best_lines(
     points, together the fewest generators covering pts.
 
     Line subsets are tried by increasing size, then in ``combinations``
-    order, and a subset replaces the best only at a strictly lower cost,
-    so among minimum covers the first with the fewest lines wins.  Each
-    point of an antichain needs its own chain, and a chain holds at most
-    one point per column.  So a subset whose size plus the largest
-    remaining multiplicity, or plus the antichain of the points it
-    leaves, reaches the best cost cannot beat it and is not partitioned.
-
-    Above ``SMALL_COLUMNS`` columns each size is a depth-first search in
-    that order.  A node has fixed a prefix of its subset: the columns
-    taken as lines, the columns passed over before the last of them, and
-    ``need`` lines still to take from the open columns after it.  Two
-    antichains bound every cover below a node: that of the points off
-    the lines, less its points on the ``need`` open columns holding most
-    of them, and that of the passed-over columns.  A node whose bound
-    reaches the best cost holds no subset that could replace the best,
-    and is cut.  Past ``MAX_SEARCH_NODES`` nodes the search raises
+    order, depth first, and a subset replaces the best only at a
+    strictly lower cost, so among minimum covers the first with the
+    fewest lines wins.  A node has fixed a prefix of its subset: the
+    columns taken as lines, the columns passed over before the last of
+    them, and ``need`` lines still to take from the open columns after
+    it.  Three lower bounds hold for every cover below a node; a node
+    whose bound reaches the best cost holds no subset that could replace
+    the best, and is cut.  The first, checked at every node, counts
+    multiplicities: a chain holds one point per column and the ``need``
+    lines take at most ``need`` open columns, so the largest
+    multiplicity of the passed-over columns and the (need+1)-th largest
+    of the open ones stay on chains.  The other two count antichains,
+    whose points need a chain each: the antichain of the points off the
+    lines, less its points on the ``need`` open columns holding most of
+    them, and the antichain of the passed-over columns.  A subset is
+    partitioned only when its size plus the antichain of the points it
+    leaves is below the best.
+    Past ``MAX_SEARCH_NODES`` nodes the search raises
     ``SearchScaleError``.
     """
     groups = _column_groups(pts)
     cols = sorted(groups)
-    if len(cols) <= SMALL_COLUMNS:
-        return _enumerate_lines(pts, partition, groups, cols)
     n = len(cols)
     best_lines, best_chains = (), partition(pts)
     best, nodes = len(best_chains), 1
+    if best > 1:
+        mults = [len(groups[c]) for c in cols]
+        # by_size[i]: the multiplicities of cols[i:], largest first
+        by_size = [sorted(mults[i:], reverse=True) for i in range(n + 1)]
     for size in range(1, n + 1):
         if size >= best:
             break
-        # one frame per node being expanded: its lines, the next column to take
-        frames = [[(), 0]]
+        # one frame per node being expanded: its lines, the next column to
+        # take, and the largest multiplicity of the columns passed over
+        frames = [[(), 0, 0]]
         while frames:
             frame = frames[-1]
-            lines, i = frame
+            lines, i, passed_mult = frame
             need = size - len(lines) - 1
             if i + need >= n:
                 frames.pop()
                 continue
             frame[1] = i + 1
-            lines += (cols[i],)
+            if mults[i] > passed_mult:
+                frame[2] = mults[i]
             nodes += 1
             if nodes > MAX_SEARCH_NODES:
                 raise SearchScaleError(
                     f"covering search bound exceeded: {family}, {len(pts)} points"
                     f" in {n} columns, more than {MAX_SEARCH_NODES} nodes"
                 )
-            if need == 0:
-                mult = max((len(groups[c]) for c in cols if c not in lines), default=0)
-                if size + mult >= best:
-                    continue
+            open_mults = by_size[i + 1]
+            kept_mult = open_mults[need] if need < len(open_mults) else 0
+            if size + max(passed_mult, kept_mult) >= best:
+                continue
+            lines += (cols[i],)
             live = [p for p in pts if p[0] not in lines]
             kept = antichain(live)
             if need == 0:
@@ -514,28 +505,7 @@ def _best_lines(
                 # the later siblings pass over these columns and more
                 frames.pop()
                 continue
-            frames.append([lines, i + 1])
-    return best_lines, best_chains
-
-
-def _enumerate_lines(pts, partition, groups, cols):
-    """``_best_lines`` on few columns: every subset in turn, skipped
-    only by the largest multiplicity left (a chain holds one point per
-    column), which costs less than the search's bounds here."""
-    best = None
-    for size in range(len(cols) + 1):
-        if best is not None and size >= best:
-            break
-        for chosen in combinations(cols, size):
-            line_cols = set(chosen)
-            if best is not None:
-                mult = max((len(groups[c]) for c in cols if c not in line_cols), default=0)
-                if size + mult >= best:
-                    continue
-            chains = partition([p for p in pts if p[0] not in line_cols])
-            if best is None or size + len(chains) < best:
-                best = size + len(chains)
-                best_lines, best_chains = chosen, chains
+            frames.append([lines, i + 1, passed_mult])
     return best_lines, best_chains
 
 

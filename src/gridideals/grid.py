@@ -5,6 +5,7 @@ Each chain order before(lo, hi) is a strict partial order implying lex order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import pairwise
 from typing import Callable, Iterable
 
@@ -26,6 +27,29 @@ def window_points(cols: int, rows: int | None = None) -> list[Point]:
     if rows is None:
         rows = cols
     return [(c, r) for c in range(cols) for r in range(rows)]
+
+
+def longest_increasing(keys) -> list[int]:
+    """Positions, in order, of a longest strictly increasing run of keys:
+    patience sorting with predecessor links, a key replacing the first
+    tail it does not exceed."""
+    tails: list = []  # tails[k]: the least key ending a run of length k+1
+    ends: list[int] = []  # ends[k]: its position
+    prev: list[int] = []
+    for i, key in enumerate(keys):
+        k = bisect_left(tails, key)
+        if k == len(tails):
+            tails.append(key)
+            ends.append(i)
+        else:
+            tails[k], ends[k] = key, i
+        prev.append(ends[k - 1] if k else -1)
+    run = []
+    i = ends[-1] if ends else -1
+    while i != -1:
+        run.append(i)
+        i = prev[i]
+    return run[::-1]
 
 
 def lex_before(a: Point, b: Point) -> bool:

@@ -14,14 +14,13 @@ set provably needs many sparse chains to cover.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import total_ordering
 from numbers import Rational
 from typing import Callable, NamedTuple, Sequence
 
 from .covering import SparsityWitness, sparsity_witness
-from .grid import Point
+from .grid import Point, longest_increasing
 
 
 @total_ordering
@@ -214,32 +213,6 @@ class VerifyResult(NamedTuple):
 # case selection
 
 
-def _longest_strictly_monotone(ids: list[int], limits: list, decreasing: bool) -> list[int]:
-    """Longest strictly increasing (or decreasing) subsequence of the
-    limit values, returned as column ids; patience sorting with parents."""
-    keys = [-v for v in limits] if decreasing else list(limits)
-    tails: list = []
-    tail_pos: list[int] = []
-    parent = [-1] * len(ids)
-    for pos, v in enumerate(keys):
-        t = bisect_left(tails, v)
-        if t == len(tails):
-            tails.append(v)
-            tail_pos.append(pos)
-        else:
-            tails[t] = v
-            tail_pos[t] = pos
-        parent[pos] = tail_pos[t - 1] if t > 0 else -1
-    if not tail_pos:
-        return []
-    out = []
-    pos = tail_pos[-1]
-    while pos != -1:
-        out.append(ids[pos])
-        pos = parent[pos]
-    return out[::-1]
-
-
 def _select_case(fam: SequenceFamily, need: int):
     eligible = [
         i
@@ -249,7 +222,7 @@ def _select_case(fam: SequenceFamily, need: int):
     if len(eligible) < need:
         return None, None
     limits = [fam.columns[i].limit for i in eligible]
-    inc = _longest_strictly_monotone(eligible, limits, decreasing=False)
+    inc = [eligible[k] for k in longest_increasing(limits)]
     if len(inc) >= need:
         return CASE_LIMITS_INCREASING, inc[:need]
     groups: dict = {}
@@ -264,7 +237,7 @@ def _select_case(fam: SequenceFamily, need: int):
         rising = [i for i in groups[value] if fam.columns[i].mode == NONDECREASING]
         if len(rising) >= need:
             return CASE_CONSTANT_TERMS_INCREASING, rising[:need]
-    dec = _longest_strictly_monotone(eligible, limits, decreasing=True)
+    dec = [eligible[k] for k in longest_increasing([-v for v in limits])]
     if len(dec) >= need:
         return CASE_LIMITS_DECREASING, dec[:need]
     return None, None

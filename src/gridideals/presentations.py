@@ -128,15 +128,9 @@ class SetDescriptor(NamedTuple):
     def is_finite(self) -> bool:
         return not self.columns and not self.tails
 
-    def is_empty(self) -> bool:
-        return self.is_finite() and not self.points
-
     def infinite_columns(self) -> tuple[int, ...]:
         """Columns the denoted set meets infinitely often."""
         return tuple(sorted(self._column_set() | {c for c, _ in self.tails}))
-
-    def finite_part(self) -> tuple[Point, ...]:
-        return canonical_points(self.points)
 
     def to_json(self) -> dict:
         return {

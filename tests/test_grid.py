@@ -15,11 +15,23 @@ from gridideals import (
 from gridideals.grid import (
     graph_before,
     is_chain,
+    longest_increasing,
     nondecreasing_before,
     ranked,
     sparse_before,
 )
 from support import random_sparse_chain
+
+
+def test_longest_increasing_is_a_longest_strict_run():
+    rng = random.Random(17)
+    for _ in range(400):
+        keys = [rng.randint(0, 5) for _ in range(rng.randint(0, 9))]
+        run = longest_increasing(keys)
+        assert run == sorted(set(run))
+        assert all(keys[a] < keys[b] for a, b in zip(run, run[1:]))
+        longer = combinations(keys, len(run) + 1)
+        assert not any(all(a < b for a, b in zip(sub, sub[1:])) for sub in longer), keys
 
 
 def test_lex_before():
