@@ -10,7 +10,9 @@ pays for no other subcommand's imports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import re
 import sys
 from typing import TYPE_CHECKING
@@ -27,55 +29,82 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _read_payload(path: str | None):
+# the input contract: each payload is checked against its file in schemas/
+_SCHEMAS = os.path.join(os.path.dirname(__file__), "schemas")
+# JSON decodes to exactly these classes, so `type(x) is int` also refuses bool
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
+          "boolean": bool, "null": type(None)}
+
+
+@functools.cache
+def _schema(name: str) -> dict:
+    with open(os.path.join(_SCHEMAS, name + ".schema.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _show(x) -> str:
+    return "an object" if type(x) is dict else "an array" if type(x) is list else json.dumps(x)
+
+
+def _check(schema: dict, x, where: str = "payload") -> None:
+    """Raise CliError unless x is valid against schema.
+
+    Covers the draft-7 keywords the schemas use.  `$ref` gridideals:X
+    names the file X.schema.json.  Unlike the jsonschema package, a final
+    `$` in a pattern anchors at the end of the string, as in ECMA 262,
+    and a float such as 1.0 is never an integer.
+    """
+    if "$ref" in schema:
+        schema = _schema(schema["$ref"].partition(":")[2])
+    types = schema.get("type")
+    if types is not None:
+        types = [types] if type(types) is str else types
+        if not any(type(x) is _TYPES[t] for t in types):
+            raise CliError(f"{where} must be {' or '.join(types)}, not {_show(x)}")
+    if "enum" in schema and x not in schema["enum"]:
+        raise CliError(f"{where} must be one of {json.dumps(schema['enum'])}, not {_show(x)}")
+    if type(x) is str and "pattern" in schema:
+        pattern = schema["pattern"]
+        if not re.search(pattern[:-1] + r"\Z" if pattern.endswith("$") else pattern, x):
+            raise CliError(f"{where} must match {pattern}, not {_show(x)}")
+    if type(x) in (int, float) and x < schema.get("minimum", x):
+        raise CliError(f"{where} must be at least {schema['minimum']}, not {x}")
+    if type(x) is list:
+        if len(x) < schema.get("minItems", 0):
+            raise CliError(f"{where} must have at least {schema['minItems']} items, not {len(x)}")
+        if len(x) > schema.get("maxItems", len(x)):
+            raise CliError(f"{where} must have at most {schema['maxItems']} items, not {len(x)}")
+        items = schema.get("items", {})
+        pairs = zip(items, x) if type(items) is list else ((items, v) for v in x)
+        for i, (sub, v) in enumerate(pairs):
+            _check(sub, v, f"{where}[{i}]")
+    if type(x) is dict:
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in x:
+                raise CliError(f"{where} lacks {json.dumps(key)}")
+        for key, v in x.items():
+            if key in props:
+                _check(props[key], v, f"{where}.{key}")
+            elif schema.get("additionalProperties", True) is False:
+                raise CliError(f"{where} has an unknown key {json.dumps(key)}")
+
+
+def _read_payload(path: str | None, schema: str):
+    """The JSON payload in the file at path, or on stdin, valid against
+    schemas/<schema>.schema.json."""
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()
-    return json.loads(text)
+    payload = json.loads(text)
+    _check(_schema(schema), payload)
+    return payload
 
 
-def _is_natural(x) -> bool:
-    # JSON true and false decode to bool, a subclass of int
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-
-
-def _naturals(payload, key: str) -> list:
-    values = payload.get(key) if isinstance(payload, dict) else payload
-    if not (isinstance(values, list) and all(_is_natural(v) for v in values)):
-        raise CliError(f"expected a JSON array of nonnegative integer {key}")
-    return values
-
-
-def _object(obj, what: str, required: tuple, optional: tuple = ()) -> dict:
-    """obj as a JSON object with every required key and no other key
-    than the optional ones, as the input schemas demand."""
-    if not isinstance(obj, dict):
-        raise CliError(f"{what} must be a JSON object: {obj!r}")
-    for key in required:
-        if key not in obj:
-            raise CliError(f"{what} lacks {key!r}")
-    unknown = sorted(obj.keys() - {*required, *optional})
-    if unknown:
-        raise CliError(f"{what} has an unknown key {unknown[0]!r}")
-    return obj
-
-
-def _points(payload) -> tuple:
-    if isinstance(payload, dict):
-        payload = payload.get("points", payload)
-    if not isinstance(payload, list):
-        raise CliError("expected a JSON array of [col,row] pairs")
-    pts = []
-    for entry in payload:
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise CliError(f"not a [col,row] pair: {entry!r}")
-        c, r = entry
-        if not (_is_natural(c) and _is_natural(r)):
-            raise CliError(f"coordinates must be nonnegative integers: {entry!r}")
-        pts.append((c, r))
-    return tuple(pts)
+def _read_points(path: str | None) -> tuple:
+    return tuple(map(tuple, _read_payload(path, "points")))
 
 
 def _ideal_from_args(args) -> presentations.IdealPresentation:
@@ -94,58 +123,25 @@ def _ideal_from_args(args) -> presentations.IdealPresentation:
     raise CliError(f"unknown ideal {args.ideal!r}")
 
 
-# the limit forms of schemas/mon-descriptor.schema.json: an integer, p/q,
-# inf or -inf.  Fraction alone would also read decimals and exponents,
-# and "1e999999999" would build a billion-digit integer
-_LIMIT = r"-?(inf|[0-9]+(/[0-9]+)?)"
-
-
-def _parse_limit(limit):
+def _column_from_json(obj: dict) -> monotone.ColumnSpec:
     from fractions import Fraction
 
     from . import monotone
 
-    if isinstance(limit, int) and not isinstance(limit, bool):
-        limit = str(limit)
-    if not (isinstance(limit, str) and re.fullmatch(_LIMIT, limit)):
-        raise CliError(f"limit must be an integer, 'p/q', 'inf' or '-inf': {limit!r}")
-    if limit == "inf":
-        return monotone.INF
-    if limit == "-inf":
-        return -monotone.INF
-    try:
-        return Fraction(limit)
-    except ZeroDivisionError:
-        raise CliError(f"limit has a zero denominator: {limit!r}") from None
+    mode, limit = obj["mode"], obj["limit"]
+    # the schema's pattern leaves Fraction no decimal or exponent to read,
+    # so "1e999999999" never builds a billion-digit integer
+    if limit in ("inf", "-inf"):
+        limit = monotone.INF if limit == "inf" else -monotone.INF
+    else:
+        limit = Fraction(limit)
+    a, b = obj.get("jmap", (1, 0))
 
+    def jmap(k):
+        return a * k + b
 
-def _natural_field(obj: dict, key: str, default: int) -> int:
-    value = obj.get(key, default)
-    if not _is_natural(value):
-        raise CliError(f"{key} must be a nonnegative integer: {value!r}")
-    return value
-
-
-def _column_from_json(obj) -> monotone.ColumnSpec:
-    from fractions import Fraction
-
-    from . import monotone
-
-    _object(obj, "a column", ("mode", "limit"), ("style", "threshold", "jmap"))
-    mode = obj["mode"]
-    if mode not in (monotone.NONDECREASING, monotone.NONINCREASING, monotone.EVENTUALLY_CONSTANT):
-        raise CliError(f"unknown column mode {mode!r}")
-    limit = _parse_limit(obj["limit"])
-    jmap = obj.get("jmap", [1, 0])
-    natural_pair = isinstance(jmap, list) and len(jmap) == 2 and all(map(_is_natural, jmap))
-    if not (natural_pair and jmap[0] >= 1):
-        raise CliError(f"jmap must be two nonnegative integers, slope at least 1: {jmap!r}")
-    a, b = jmap
-    jmap = (lambda a, b: lambda k: a * k + b)(a, b)
     style = obj.get("style", "approach")
-    if style not in ("approach", "linear"):
-        raise CliError(f"unknown column style {style!r}")
-    threshold = _natural_field(obj, "threshold", 0)
+    threshold = obj.get("threshold", 0)
     if mode == monotone.EVENTUALLY_CONSTANT:
         pivot = jmap(threshold)
 
@@ -172,38 +168,11 @@ def _column_from_json(obj) -> monotone.ColumnSpec:
     return monotone.ColumnSpec(mode, limit, term, jmap, threshold)
 
 
-def _family_from_json(obj) -> monotone.SequenceFamily:
+def _family_from_json(obj: dict) -> monotone.SequenceFamily:
     from . import monotone
 
-    cols = _object(obj, "descriptor", ("columns",), ("depth",))["columns"]
-    if not isinstance(cols, list) or not cols:
-        raise CliError("descriptor needs a nonempty columns array")
-    columns = tuple(_column_from_json(c) for c in cols)
-    depth = obj.get("depth", 512)
-    if not (_is_natural(depth) and depth >= 1):
-        raise CliError(f"depth must be a positive integer: {depth!r}")
-    return monotone.SequenceFamily(columns, depth)
-
-
-def _mon_certificate_from_json(obj) -> monotone.MonCertificate:
-    from . import monotone
-
-    _object(obj, "certificate", ("indices", "points", "direction", "witnesses"), ("case",))
-    _naturals(obj, "indices")
-    _points(obj["points"])
-    if obj["direction"] not in ("increasing", "nondecreasing-constant", "decreasing"):
-        raise CliError(f"unknown direction {obj['direction']!r}")
-    if not isinstance(obj.get("case", ""), str):
-        raise CliError(f"case must be a string: {obj['case']!r}")
-    witnesses = obj["witnesses"]
-    if not isinstance(witnesses, list):
-        raise CliError("witnesses must be a JSON array")
-    for w in witnesses:
-        _object(w, "a witness", ("level", "points"))
-        if not _is_natural(w["level"]):
-            raise CliError(f"a witness level must be a nonnegative integer: {w['level']!r}")
-        _points(w["points"])
-    return monotone.MonCertificate.from_json(obj)
+    columns = tuple(map(_column_from_json, obj["columns"]))
+    return monotone.SequenceFamily(columns, obj.get("depth", 512))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +183,7 @@ def _cmd_phi(args) -> int:
     from . import covering
 
     ideal = _ideal_from_args(args)
-    pts = _points(_read_payload(args.input))
+    pts = _read_points(args.input)
     cost, cert = covering.phi(ideal, pts)
     _emit({"ideal": args.ideal, "phi": cost, "certificate": cert.to_json()})
     return 0
@@ -223,7 +192,7 @@ def _cmd_phi(args) -> int:
 def _cmd_witness(args) -> int:
     from . import covering
 
-    pts = _points(_read_payload(args.input))
+    pts = _read_points(args.input)
     w = covering.sparsity_witness(pts)
     if w is None:
         _emit({"witness": None})
@@ -242,50 +211,16 @@ def _cmd_oracle(args) -> int:
     rank = gridmaps.RANK_CATALOG.get(args.rank) if args.rank else None
     if covering.RANKED_CHAIN in kinds and rank is None:
         raise CliError("ranked-chain covers need --rank")
-    pts = _points(_read_payload(args.input))
+    pts = _read_points(args.input)
     cert = covering.brute_force_cover(pts, kinds, rank=rank)
     _emit({"cost": cert.cost, "parts": cert.to_json()["parts"]})
     return 0
-
-
-def _map_points(args):
-    return _points(_read_payload(args.input))
 
 
 def _cmd_map(args) -> int:
     from . import gridmaps
 
     name = args.name
-    if args.map_cmd == "apply":
-        if name == "triangle-fold":
-            pts = _map_points(args)
-            _emit({"points": [list(gridmaps.triangle_fold(p)) for p in pts]})
-            return 0
-        if name in gridmaps.RANK_CATALOG:
-            pts = _map_points(args)
-            rank = gridmaps.RANK_CATALOG[name]
-            _emit({"values": [rank(p) for p in pts]})
-            return 0
-        if name == "wedge-zigzag":
-            indices = _naturals(_read_payload(args.input), "indices")
-            _emit({"points": [list(gridmaps.wedge_zigzag_point(n)) for n in indices]})
-            return 0
-        raise CliError(f"unknown map {name!r}")
-    if args.map_cmd == "invert":
-        if name == "triangle-fold":
-            pts = _map_points(args)
-            _emit({"points": [list(gridmaps.triangle_unfold(p)) for p in pts]})
-            return 0
-        if name in gridmaps.RANK_CATALOG:
-            values = _naturals(_read_payload(args.input), "values")
-            rank = gridmaps.RANK_CATALOG[name]
-            _emit({"preimages": [[list(p) for p in rank.preimages(v)] for v in values]})
-            return 0
-        if name == "wedge-zigzag":
-            pts = _map_points(args)
-            _emit({"indices": [gridmaps.wedge_zigzag_index(p) for p in pts]})
-            return 0
-        raise CliError(f"unknown map {name!r}")
     if args.map_cmd == "verify":
         from .transfer import MAX_WINDOW
 
@@ -294,7 +229,24 @@ def _cmd_map(args) -> int:
         failures = _verify_map(name, args.window)
         _emit({"name": name, "ok": not failures, "failures": failures})
         return 2 if failures else 0
-    raise CliError(f"unknown map action {args.map_cmd!r}")
+    # (action, name) -> (input schema, output key, the map on one input)
+    maps = {
+        ("apply", "triangle-fold"): ("points", "points", gridmaps.triangle_fold),
+        ("invert", "triangle-fold"): ("points", "points", gridmaps.triangle_unfold),
+        ("apply", "wedge-zigzag"): ("naturals", "points", gridmaps.wedge_zigzag_point),
+        ("invert", "wedge-zigzag"): ("points", "indices", gridmaps.wedge_zigzag_index),
+    }
+    rank = gridmaps.RANK_CATALOG.get(name)
+    if rank is not None:
+        maps["apply", name] = ("points", "values", rank)
+        maps["invert", name] = ("naturals", "preimages", rank.preimages)
+    if (args.map_cmd, name) not in maps:
+        raise CliError(f"unknown map {name!r}")
+    schema, key, fn = maps[args.map_cmd, name]
+    inputs = _read_points(args.input) if schema == "points" else _read_payload(args.input, schema)
+    # json writes the tuples the maps return as arrays
+    _emit({key: [fn(v) for v in inputs]})
+    return 0
 
 
 def _verify_map(name: str, window: int) -> list[str]:
@@ -356,24 +308,21 @@ def _cmd_game(args) -> int:
 def _cmd_mon(args) -> int:
     from . import gridmaps, monotone
 
-    payload = _read_payload(args.input)
+    extract = args.mon_cmd == "extract"
+    payload = _read_payload(args.input, "mon-descriptor" if extract else "mon-verify")
     index_map = gridmaps.INDEX_MAP_CATALOG.get(args.map)
     if index_map is None:
         raise CliError(f"unknown enumeration {args.map!r}")
-    if args.mon_cmd == "extract":
+    if extract:
         fam = _family_from_json(payload)
         cert = monotone.extract_mon(index_map, fam, args.target_len, args.level)
         _emit(cert.to_json())
         return 0
-    if args.mon_cmd == "verify":
-        if not (isinstance(payload, dict) and {"descriptor", "certificate"} <= payload.keys()):
-            raise CliError("mon verify takes an object with descriptor and certificate")
-        fam = _family_from_json(payload["descriptor"])
-        cert = _mon_certificate_from_json(payload["certificate"])
-        result = monotone.verify_certificate(cert, index_map, fam)
-        _emit({"ok": result.ok, "reasons": list(result.reasons)})
-        return 0 if result.ok else 2
-    raise CliError(f"unknown mon action {args.mon_cmd!r}")
+    fam = _family_from_json(payload["descriptor"])
+    cert = monotone.MonCertificate.from_json(payload["certificate"])
+    result = monotone.verify_certificate(cert, index_map, fam)
+    _emit({"ok": result.ok, "reasons": list(result.reasons)})
+    return 0 if result.ok else 2
 
 
 def _cmd_sigma(args) -> int:

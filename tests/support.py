@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 import sys
 from fractions import Fraction
@@ -18,7 +20,22 @@ from gridideals import (
     pick_outside,
     point_sum,
 )
+from gridideals import cli
 from gridideals.covering import _column_groups
+
+
+def run_cli(argv, stdin=""):
+    """Run the CLI in process on argv with stdin; return the exit code and
+    stdout."""
+    out = io.StringIO()
+    old_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = old_stdin
+    return code, out.getvalue()
 
 
 def random_points(rng: random.Random, width: int, height: int, max_n: int):

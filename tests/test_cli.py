@@ -1,5 +1,3 @@
-import contextlib
-import io
 import json
 import os
 import pathlib
@@ -8,19 +6,8 @@ import sys
 
 import pytest
 
-from gridideals import cli, covering, game, transfer
-
-
-def run_cli(argv, stdin=""):
-    out = io.StringIO()
-    old_stdin = sys.stdin
-    sys.stdin = io.StringIO(stdin)
-    try:
-        with contextlib.redirect_stdout(out):
-            code = cli.main(argv)
-    finally:
-        sys.stdin = old_stdin
-    return code, out.getvalue()
+from gridideals import covering, game, transfer
+from support import run_cli
 
 
 def test_phi_command():
@@ -159,6 +146,11 @@ def test_bad_points_rejected():
         (["witness"], "[5]"),
         (["oracle", "cover", "--kinds", "graph"], "[[0,1,2]]"),
         (["map", "apply", "--name", "triangle-fold"], "[[0.5,1]]"),
+        (["phi", "--ideal", "WR"], "[[1.0,0]]"),
+        # object forms: each payload schema is an array
+        (["phi", "--ideal", "WR"], '{"points": [[0,1]], "x": 2}'),
+        (["map", "invert", "--name", "diag-rank"], '{"values": [1]}'),
+        (["map", "apply", "--name", "wedge-zigzag"], '{"indices": [3]}'),
     ],
 )
 def test_non_natural_inputs_rejected(argv, payload):
@@ -265,6 +257,10 @@ _WITNESS = {"level": 0, "points": [[0, 0]]}
         _mon_verify(witnesses=[{**_WITNESS, "points": [[0]]}]),
         _mon_verify(witnesses=[{**_WITNESS, "note": "x"}]),
         _mon_verify(note="x"),
+        (["mon", "verify"], json.dumps({**json.loads(_mon_verify()[1]), "note": "x"})),
+        _mon_extract({"mode": "nondecreasing", "limit": "1", "jmap": [0, 0]}),
+        _mon_extract({"mode": "nondecreasing", "limit": "1\n"}),
+        _mon_extract({"mode": "nondecreasing", "limit": "inf\n"}),
     ],
     ids=["verify-array", "jmap-str", "jmap-float", "jmap-negative", "threshold-array",
          "column-int", "cert-points-int",
@@ -277,7 +273,9 @@ _WITNESS = {"level": 0, "points": [[0, 0]]}
          "cert-witnesses-missing", "cert-indices-int", "cert-indices-negative",
          "cert-direction-unknown", "cert-case-int", "cert-witnesses-object", "witness-int",
          "witness-level-missing", "witness-points-missing", "witness-level-negative",
-         "witness-points-short", "witness-extra-key", "cert-extra-key"],
+         "witness-points-short", "witness-extra-key", "cert-extra-key",
+         "verify-extra-key", "jmap-zero-slope", "limit-trailing-newline",
+         "limit-inf-trailing-newline"],
 )
 def test_malformed_mon_input_rejected(argv, payload):
     code, out = run_cli(argv, payload)
