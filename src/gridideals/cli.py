@@ -63,6 +63,8 @@ def _check(schema: dict, x, where: str = "payload") -> None:
             raise CliError(f"{where} must be {' or '.join(types)}, not {_show(x)}")
     if "enum" in schema and x not in schema["enum"]:
         raise CliError(f"{where} must be one of {json.dumps(schema['enum'])}, not {_show(x)}")
+    if type(x) is str and len(x) > schema.get("maxLength", len(x)):
+        raise CliError(f"{where} must have at most {schema['maxLength']} characters, not {len(x)}")
     if type(x) is str and "pattern" in schema:
         pattern = schema["pattern"]
         if not re.search(pattern[:-1] + r"\Z" if pattern.endswith("$") else pattern, x):

@@ -5,7 +5,11 @@ chain generator (sparse chains, graphs, nondecreasing graphs, or ranked
 chains).  Each chain kind is a strict partial order on the grid (the
 order table in ``grid``), so a minimum cover is a minimum partition into
 lines and chains, and its cost is the number of parts.  A bitmask
-partition DP serves as the independent oracle.  The structured solver
+partition DP serves as the independent oracle.  It splits each mask's
+low point off with a block of points comparable to it; traces are
+hereditary, so no mask needs more than one part beyond the mask without
+its low point, and the first block that needs no more ends the search.
+The structured solver
 for WR, EDup and WRpi is one depth-first search over which occupied
 columns become whole lines, on every point set, with the rest
 partitioned by the family's one chain routine.  A chain holds one point
@@ -165,10 +169,18 @@ def sparsity_witness(points: Sequence[Point]) -> SparsityWitness | None:
 
 
 def _oracle_tables(pts, kinds, rank):
+    """label[mask]: the first admitted kind of which the points of mask
+    form one generator trace, else None; near[i]: the points comparable
+    to point i in some admitted kind.
+
+    A mask is a trace of a kind exactly when its low point is comparable
+    to all its other points and they form a trace, so each kind's traces
+    with low point i are built from the traces among i's comparable
+    points above it, highest i first."""
     n = len(pts)
     size = 1 << n
-    valid_any = bytearray(size)
     label = [None] * size
+    near = [0] * n
     for kind in [k for k in KINDS if k in kinds]:
         before = _order(kind, rank)
         rows = [0] * n
@@ -178,41 +190,55 @@ def _oracle_tables(pts, kinds, rank):
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
         vk = bytearray(size)
-        for mask in range(1, size):
-            low = mask & -mask
-            rest = mask ^ low
-            if rest == 0:
-                vk[mask] = 1
-            else:
-                i = low.bit_length() - 1
-                if vk[rest] and (rows[i] & rest) == rest:
-                    vk[mask] = 1
-            if vk[mask] and not valid_any[mask]:
-                valid_any[mask] = 1
-                label[mask] = kind
-    return valid_any, label
+        vk[0] = 1
+        for i in reversed(range(n)):
+            low = 1 << i
+            above = rows[i] >> (i + 1) << (i + 1)
+            rest = above
+            while True:
+                if vk[rest]:
+                    vk[rest | low] = 1
+                    if label[rest | low] is None:
+                        label[rest | low] = kind
+                if not rest:
+                    break
+                rest = (rest - 1) & above
+            near[i] |= rows[i]
+    return label, near
 
 
 def _oracle_dp(pts, kinds, rank):
+    """dp[mask]: the fewest traces partitioning mask; choice[mask]: the
+    block of a minimum partition holding mask's low point.
+
+    The blocks holding the low point are the low point plus a submask of
+    its comparable points in mask, tried in descending order; a block
+    replaces the best only at a strictly lower cost, so the first
+    minimum in that order is chosen."""
     n = len(pts)
     size = 1 << n
-    valid_any, label = _oracle_tables(pts, kinds, rank)
-    big = n + 1
-    dp = [big] * size
-    dp[0] = 0
+    label, near = _oracle_tables(pts, kinds, rank)
+    dp = [0] * size
     choice = [0] * size
     for mask in range(1, size):
         low = mask & -mask
-        best = big
-        best_sub = 0
-        sub = mask
-        while sub:
-            if (sub & low) and valid_any[sub]:
-                c = dp[mask ^ sub] + 1
+        rest = mask ^ low
+        # traces are hereditary and singletons are traces, so dp[mask] is
+        # dp[rest] or one more: a block reaching dp[rest] ends the search
+        floor = dp[rest]
+        cand = rest & near[low.bit_length() - 1]
+        best = n + 1
+        sub = cand
+        while True:
+            if label[sub | low] is not None:
+                c = dp[rest ^ sub] + 1
                 if c < best:
-                    best = c
-                    best_sub = sub
-            sub = (sub - 1) & mask
+                    best, best_sub = c, sub | low
+                    if c == floor:
+                        break
+            if not sub:
+                break
+            sub = (sub - 1) & cand
         dp[mask] = best
         choice[mask] = best_sub
     return dp, choice, label

@@ -21,7 +21,7 @@ from gridideals import (
     point_sum,
 )
 from gridideals import cli
-from gridideals.covering import _column_groups
+from gridideals.covering import KINDS, _column_groups, _order
 
 
 def run_cli(argv, stdin=""):
@@ -135,6 +135,56 @@ def reference_best_lines(pts, partition):
                 best = size + len(chains)
                 best_lines, best_chains = chosen, chains
     return best_lines, best_chains
+
+
+def reference_oracle_dp(pts, kinds, rank):
+    """covering._oracle_dp as a full enumeration: every kind's valid-mask
+    table over every mask, and a DP over every submask of every mask.  The
+    reference the oracle's dp, choice and label must match."""
+    n = len(pts)
+    size = 1 << n
+    valid_any = bytearray(size)
+    label = [None] * size
+    for kind in [k for k in KINDS if k in kinds]:
+        before = _order(kind, rank)
+        rows = [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if before(pts[i], pts[j]):
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        vk = bytearray(size)
+        for mask in range(1, size):
+            low = mask & -mask
+            rest = mask ^ low
+            if rest == 0:
+                vk[mask] = 1
+            else:
+                i = low.bit_length() - 1
+                if vk[rest] and (rows[i] & rest) == rest:
+                    vk[mask] = 1
+            if vk[mask] and not valid_any[mask]:
+                valid_any[mask] = 1
+                label[mask] = kind
+    big = n + 1
+    dp = [big] * size
+    dp[0] = 0
+    choice = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        best = big
+        best_sub = 0
+        sub = mask
+        while sub:
+            if (sub & low) and valid_any[sub]:
+                c = dp[mask ^ sub] + 1
+                if c < best:
+                    best = c
+                    best_sub = sub
+            sub = (sub - 1) & mask
+        dp[mask] = best
+        choice[mask] = best_sub
+    return dp, choice, label
 
 
 def json_descriptor_contains(doc: dict, p) -> bool:

@@ -291,6 +291,25 @@ def test_malformed_mon_inputs_break_one_rule():
     assert code in (0, 2) and "error" not in json.loads(out)
 
 
+def test_empty_witness_fails_verification():
+    code, out = run_cli(*_mon_verify(witnesses=[{"level": 0, "points": []}]))
+    assert code == 2
+    assert json.loads(out) == {
+        "ok": False, "reasons": ["witness of level 0 fails the sparsity conditions"]
+    }
+
+
+def test_over_long_limit_is_refused_by_the_schema():
+    code, out = run_cli(*_mon_extract({"mode": "nondecreasing", "limit": "1" * 5000}))
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "payload.columns[0].limit must have at most 1000 characters, not 5000"
+    }
+    longest = "-" + "1" * 999
+    code, out = run_cli(*_mon_extract({"mode": "nondecreasing", "limit": longest}))
+    assert code == 0, out
+
+
 def test_outputs_byte_identical():
     pairs = [
         (["phi", "--ideal", "EDup"], "[[0,1],[1,0],[4,4]]"),

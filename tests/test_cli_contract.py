@@ -33,8 +33,8 @@ REGISTRY = Registry().with_resources(
     for schema in SCHEMAS.values()
 )
 KEYWORDS = {"$schema", "$id", "title", "description", "type", "properties", "required",
-            "additionalProperties", "items", "minItems", "maxItems", "minimum", "enum",
-            "pattern", "$ref"}
+            "additionalProperties", "items", "minItems", "maxItems", "maxLength", "minimum",
+            "enum", "pattern", "$ref"}
 
 # (argv, input schema) for every subcommand whose payload is checked here
 COMMANDS = {
@@ -54,7 +54,7 @@ COMMANDS = {
 # no schema states
 SEMANTIC = {
     "approach columns need a finite limit",  # cli._column_from_json
-    "nonempty point list required",  # covering.sparsity_witness, for witness and mon verify
+    "nonempty point list required",  # covering.sparsity_witness, for witness
 }
 
 
@@ -177,6 +177,9 @@ def _mutations(schema: dict, x):
     if isinstance(x, str) and "pattern" in schema:
         for v in ("1.5", "1/0", "1e9", x + "\n"):
             yield "pattern", v
+    if isinstance(x, str) and "maxLength" in schema:
+        # digits, so that only the length rule breaks where a pattern asks for a number
+        yield "length", "9" * (schema["maxLength"] + 1)
     if isinstance(x, list) and schema.get("minItems", 0) > 0:
         yield "length", x[: schema["minItems"] - 1]
     if isinstance(x, list) and "maxItems" in schema:
@@ -223,7 +226,7 @@ def test_cli_accepts_what_the_schema_accepts(name, data):
 # each kind of mutation, and the keywords whose rules it breaks
 KINDS = {
     "type": {"type"}, "enum": {"enum"}, "minimum": {"minimum"}, "pattern": {"pattern"},
-    "length": {"minItems", "maxItems"}, "missing key": {"required"},
+    "length": {"minItems", "maxItems", "maxLength"}, "missing key": {"required"},
     "extra key": {"additionalProperties"},
 }
 

@@ -43,6 +43,7 @@ from support import (
     random_sparse_chain,
     random_witness_family,
     reference_best_lines,
+    reference_oracle_dp,
     stack_depth,
 )
 
@@ -156,6 +157,79 @@ def test_oracle_rejects_unknown_kinds():
         brute_force_cover([(0, 0)], ("no-such-kind",))
     with pytest.raises(ValueError):
         oracle_cover_cost([(0, 0)], ())
+
+
+# every kind tuple that the tests, the CLI and perfbench pass to the oracle
+ORACLE_KIND_TUPLES = [
+    ((SPARSE_CHAIN,), None),
+    ((GRAPH,), None),
+    ((NONDECREASING_GRAPH,), None),
+    ((VERTICAL_LINE, SPARSE_CHAIN), None),
+    ((VERTICAL_LINE, GRAPH), None),
+    ((VERTICAL_LINE, NONDECREASING_GRAPH), None),
+    ((VERTICAL_LINE, SPARSE_CHAIN, NONDECREASING_GRAPH), None),
+    *(((RANKED_CHAIN,), rank) for rank in RANK_CATALOG.values()),
+    *(((VERTICAL_LINE, RANKED_CHAIN), rank) for rank in RANK_CATALOG.values()),
+]
+
+
+def test_oracle_dp_matches_full_enumeration_exhaustive_small():
+    pool = [(c, r) for c in range(5) for r in range(5)]
+    mixes = [((VERTICAL_LINE, SPARSE_CHAIN, NONDECREASING_GRAPH), None),
+             ((VERTICAL_LINE, GRAPH, RANKED_CHAIN), DIAG_RANK)]
+    for size in range(5):
+        for pts in combinations(pool, size):
+            for kinds, rank in mixes:
+                got = covering._oracle_dp(pts, kinds, rank)
+                assert got == reference_oracle_dp(pts, kinds, rank), (kinds, pts)
+
+
+def test_oracle_dp_matches_full_enumeration_seeded():
+    rng = random.Random(67)
+    pool = [(c, r) for c in range(7) for r in range(7)]
+    for kinds, rank in ORACLE_KIND_TUPLES:
+        for n in range(7, 13):
+            pts = tuple(sorted(rng.sample(pool, n)))
+            got = covering._oracle_dp(pts, kinds, rank)
+            assert got == reference_oracle_dp(pts, kinds, rank), (kinds, rank, pts)
+
+
+# sha256 over the brute_force_cover certificate JSON of each set in turn, and
+# the total cost, on 8-12 points where blocks fit several admitted kinds, so
+# the labels count too
+ORACLE_CERTIFICATE_DIGESTS = {
+    "lines+sparse+nondecreasing": (
+        "f358d6b421174297fb8366bf7624daff4b1bc753d2ebd3e35456eb75a0dcc633", 44),
+    "unranked": ("3b0162ca6baa870e4d40a538a616ad6f7965cb2d926dc4295a4633fd99c1eec1", 36),
+    "lines+ranked/diag-rank": (
+        "a77a39bce2f1b26693413e8bbcac4758c2c51dd08ca2c5e00b0ff541b81e5be4", 60),
+    "lines+ranked/max-rank": (
+        "5dc5a2ff0c1703752ee3c708cc3b3101bd7f1f69a0ad91e05c49da654957aa2f", 47),
+    "lines+ranked/skew-rank": (
+        "346c9619d2c6c52c5f324f521915610db3e95ac18b332ab9747ddadcc08d4522", 60),
+    "lines+ranked/offset-rank": (
+        "883e3d6d0188b987cf11c9fbb1ca3a5a221cbfaa7c7099772f70ab61c6fba002", 59),
+}
+
+
+def test_oracle_certificates_match_recorded_digests():
+    mixes = {
+        "lines+sparse+nondecreasing": ((VERTICAL_LINE, SPARSE_CHAIN, NONDECREASING_GRAPH), None),
+        "unranked": ((VERTICAL_LINE, SPARSE_CHAIN, GRAPH, NONDECREASING_GRAPH), None),
+        **{f"lines+ranked/{name}": ((VERTICAL_LINE, RANKED_CHAIN), rank)
+           for name, rank in RANK_CATALOG.items()},
+    }
+    pool = [(c, r) for c in range(6) for r in range(6)]
+    got = {}
+    for name, (kinds, rank) in mixes.items():
+        rng = random.Random(f"oracle-cert-{name}")
+        digest, total = hashlib.sha256(), 0
+        for _ in range(12):
+            cert = brute_force_cover(rng.sample(pool, rng.randint(8, 12)), kinds, rank=rank)
+            digest.update(json.dumps(cert.to_json(), sort_keys=True).encode() + b"\n")
+            total += cert.cost
+        got[name] = (digest.hexdigest(), total)
+    assert got == ORACLE_CERTIFICATE_DIGESTS
 
 
 def test_submeasure_axioms_sampled():
