@@ -29,6 +29,10 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+# the longest integer a payload may hold, the interpreter's own default cap
+# on converting a digit string, checked before the conversion
+MAX_INT_DIGITS = 4300
+
 # the input contract: each payload is checked against its file in schemas/
 _SCHEMAS = os.path.join(os.path.dirname(__file__), "schemas")
 # JSON decodes to exactly these classes, so `type(x) is int` also refuses bool
@@ -100,9 +104,16 @@ def _read_payload(path: str | None, schema: str):
             text = fh.read()
     else:
         text = sys.stdin.read()
-    payload = json.loads(text)
+    payload = json.loads(text, parse_int=_parse_int)
     _check(_schema(schema), payload)
     return payload
+
+
+def _parse_int(digits: str) -> int:
+    n = len(digits.lstrip("-"))
+    if n > MAX_INT_DIGITS:
+        raise CliError(f"payload integers must have at most {MAX_INT_DIGITS} digits, not {n}")
+    return int(digits)
 
 
 def _read_points(path: str | None) -> tuple:
@@ -112,17 +123,12 @@ def _read_points(path: str | None) -> tuple:
 def _ideal_from_args(args) -> presentations.IdealPresentation:
     from . import gridmaps, presentations
 
-    ideals = {"WR": presentations.WR, "ED": presentations.ED, "EDup": presentations.EDUP}
-    if args.ideal in ideals:
-        return ideals[args.ideal]
-    if args.ideal == "WRpi":
-        rank = gridmaps.RANK_CATALOG.get(args.rank or "")
-        if rank is None:
-            raise CliError(
-                f"WRpi needs --rank, one of {sorted(gridmaps.RANK_CATALOG)}"
-            )
-        return presentations.wr_pi(rank)
-    raise CliError(f"unknown ideal {args.ideal!r}")
+    if args.ideal != "WRpi":
+        return {"WR": presentations.WR, "ED": presentations.ED, "EDup": presentations.EDUP}[args.ideal]
+    rank = gridmaps.RANK_CATALOG.get(args.rank or "")
+    if rank is None:
+        raise CliError(f"WRpi needs --rank, one of {sorted(gridmaps.RANK_CATALOG)}")
+    return presentations.wr_pi(rank)
 
 
 def _column_from_json(obj: dict) -> monotone.ColumnSpec:
@@ -292,10 +298,8 @@ def _cmd_game(args) -> int:
     ideal = _ideal_from_args(args)
     if args.opponent == "random":
         opponent = game.random_opponent(args.seed)
-    elif args.opponent == "least-lex":
-        opponent = game.least_lex_opponent
     else:
-        raise CliError(f"unknown opponent {args.opponent!r}")
+        opponent = game.least_lex_opponent
     state = game.play(
         ideal,
         game.blocking_strategy(exact=args.exact),

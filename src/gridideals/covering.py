@@ -21,6 +21,10 @@ search cuts its branches with them too (the ranked one is the most
 populated column).  The search is exponential in the worst case and
 stops with ``SearchScaleError`` past ``MAX_SEARCH_NODES`` nodes.  ED
 has a closed form.
+
+A point set is canonicalised (deduplicated, sorted by (col, row)) once,
+at the public call; the partitions, antichains and line search below it
+take the canonical sequence they are given.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ def _order(kind: str, rank=None):
 
 
 def part_is_valid(kind: str, members: Iterable[Point], rank=None) -> bool:
-    """Whether a point set is a trace of a single generator of the kind."""
+    """Whether points, in any order and with repeats, trace one generator of the kind."""
     pts = canonical_points(members)
     return bool(pts) and is_chain(_order(kind, rank), pts)
 
@@ -113,7 +117,7 @@ class CoverCertificate(NamedTuple):
         return len(self.parts)
 
     def validate(self, points: Iterable[Point], rank=None) -> bool:
-        """Parts are pairwise disjoint valid traces whose union is the input."""
+        """Parts are pairwise disjoint valid traces whose union is the input set."""
         seen: set[Point] = set()
         for part in self.parts:
             if not part_is_valid(part.kind, part.members, rank):
@@ -122,7 +126,7 @@ class CoverCertificate(NamedTuple):
                 if p in seen:
                     return False
                 seen.add(p)
-        return seen == set(canonical_points(points))
+        return seen == set(points)
 
     def to_json(self) -> dict:
         return {
@@ -289,9 +293,8 @@ def brute_force_cover(points, kinds, rank=None) -> CoverCertificate:
 # structured solvers
 
 
-def sparse_chain_partition(points) -> list[tuple[Point, ...]]:
-    """Optimal partition into sparse chains: first fit in canonical order."""
-    pts = canonical_points(points)
+def sparse_chain_partition(pts) -> list[tuple[Point, ...]]:
+    """Optimal partition of canonical points into sparse chains: first fit."""
     chains: list[list[Point]] = []
     ends: list[int] = []
     for p in pts:
@@ -307,7 +310,7 @@ def sparse_chain_partition(points) -> list[tuple[Point, ...]]:
 
 
 def sparse_chain_cover_number(points) -> int:
-    """Minimum number of sparse chains covering the set.
+    """Minimum number of sparse chains covering the set, in any order.
 
     Two points share a chain exactly when their spans [col, col+row] are
     disjoint.  First fit in canonical order is optimal: a chain only
@@ -318,17 +321,17 @@ def sparse_chain_cover_number(points) -> int:
     overlap, no two of their points share a chain, and every cover needs
     k+1 chains.
     """
-    return len(sparse_chain_partition(points))
+    return len(sparse_chain_partition(canonical_points(points)))
 
 
-def sparse_antichain(points) -> list[Point]:
-    """Points needing one sparse chain each, as many as the partition has
-    chains: those whose spans [col, col+row] contain the busiest column.
+def sparse_antichain(pts) -> list[Point]:
+    """Canonical points needing one sparse chain each, as many as the
+    partition has chains: those whose spans [col, col+row] contain the
+    busiest column.
 
     Spans that share a column pairwise overlap, and the proof above
     finds a column in k+1 spans when first fit opens its (k+1)-th chain.
     """
-    pts = canonical_points(points)
     ends = sorted(p[0] + p[1] for p in pts)
     busiest, depth, gone = None, 0, 0
     for k, p in enumerate(pts):
@@ -393,14 +396,13 @@ def _augment(adj, match_right, root, seen) -> bool:
     return False
 
 
-def nondecreasing_chain_partition(points) -> list[tuple[Point, ...]]:
-    """Minimum partition into nondecreasing graphs via matching.
+def nondecreasing_chain_partition(pts) -> list[tuple[Point, ...]]:
+    """Minimum partition of canonical points into nondecreasing graphs.
 
     One augmenting path search per point matches it to a successor; the
     n minus matching size points left without a predecessor start the
     chains, the usual minimum-path-cover argument.
     """
-    pts = canonical_points(points)
     n = len(pts)
     adj = [
         [j for j in range(i + 1, n) if nondecreasing_before(pts[i], pts[j])]
@@ -421,31 +423,31 @@ def nondecreasing_chain_partition(points) -> list[tuple[Point, ...]]:
     return chains
 
 
-def nondecreasing_antichain(points) -> list[Point]:
-    """Points needing one nondecreasing graph each, as many as the
-    partition has chains: a longest strictly decreasing run of rows in
-    (column, -row) order, so columns never decrease and rows fall.
+def nondecreasing_antichain(pts) -> list[Point]:
+    """Canonical points needing one nondecreasing graph each, as many as
+    the partition has chains: a longest strictly decreasing run of rows
+    in (column, -row) order, so columns never decrease and rows fall.
 
     Two points of such a run share a column or have the later one lower;
     conversely any set of pairwise incomparable points is such a run, so
     the longest has the size of a largest antichain, which is the chain
     count by Dilworth's theorem.
     """
-    pts = sorted(set(points), key=lambda p: (p[0], -p[1]))
+    pts = sorted(pts, key=lambda p: (p[0], -p[1]))
     return sorted(pts[i] for i in longest_increasing([-p[1] for p in pts]))
 
 
-def ranked_antichain(points) -> list[Point]:
-    """Points needing one ranked chain each, for every rank map: the most
-    populated column, the leftmost on a tie.  A chain holds one point
-    per column."""
-    groups = _column_groups(canonical_points(points))
+def ranked_antichain(pts) -> list[Point]:
+    """Canonical points needing one ranked chain each, for every rank
+    map: the most populated column, the leftmost on a tie.  A chain
+    holds one point per column."""
+    groups = _column_groups(pts)
     return max(groups.values(), key=len, default=[])
 
 
 def _ranked_chain_partition(pts, rank) -> list[tuple[Point, ...]]:
-    """Minimum partition into ranked chains: by the oracle, except that a
-    set which already is one chain needs no search."""
+    """Minimum partition of canonical points into ranked chains: by the
+    oracle, except that a set which is one chain needs no search."""
     if pts and is_ranked_chain(rank, pts):
         return [tuple(pts)]
     return [part.members for part in brute_force_cover(pts, (RANKED_CHAIN,), rank=rank).parts]
@@ -455,7 +457,7 @@ def _best_lines(
     pts, partition, antichain, family
 ) -> tuple[tuple[int, ...], list[tuple[Point, ...]]]:
     """Lines on some occupied columns and a chain partition of the other
-    points, together the fewest generators covering pts.
+    points, together the fewest generators covering the canonical pts.
 
     Line subsets are tried by increasing size, then in ``combinations``
     order, depth first, and a subset replaces the best only at a
@@ -564,7 +566,7 @@ def _solve(ideal, pts):
 
 
 def phi(ideal, points) -> tuple[int, CoverCertificate]:
-    """Minimum mixed cover cost and a witnessing certificate.
+    """Minimum mixed cover cost and a witnessing certificate, in any order.
 
     Among minimum covers the certificate uses the fewest lines."""
     pts = canonical_points(points)

@@ -75,8 +75,9 @@ def ranked(rank: Callable[[Point], int]) -> Callable[[Point, Point], bool]:
 
 
 def is_chain(before: Callable[[Point, Point], bool], points: Iterable[Point]) -> bool:
-    """Whether every pair is comparable: consecutive canonical points decide it."""
-    return all(before(a, b) for a, b in pairwise(canonical_points(points)))
+    """Whether every pair of canonical points is comparable: consecutive
+    ones decide it."""
+    return all(before(a, b) for a, b in pairwise(points))
 
 
 def _pair_color(before, a: Point, b: Point) -> int:
@@ -96,10 +97,10 @@ def nondecreasing_pair_color(a: Point, b: Point) -> int:
 
 
 def is_sparse_chain(points: Iterable[Point]) -> bool:
-    """True when every pair is mutually sparse."""
-    return is_chain(sparse_before, points)
+    """True when every pair is mutually sparse; any order, with repeats."""
+    return is_chain(sparse_before, canonical_points(points))
 
 
 def is_ranked_chain(rank: Callable[[Point], int], points: Iterable[Point]) -> bool:
-    """Chain condition for a ranked family."""
-    return is_chain(ranked(rank), points)
+    """Chain condition for a ranked family; any order, with repeats."""
+    return is_chain(ranked(rank), canonical_points(points))

@@ -281,6 +281,9 @@ def _extract(index_map, fam: SequenceFamily, target_len: int, target_level: int,
         raise ExtractionError(
             f"not enough columns for any case (need {need} eligible ones)"
         )
+    direction, label = _DIRECTION[case], case
+    if dual:
+        direction, label = _FLIP[direction], case + "-dual"
     points: list[Point] = []
     indices: list[int] = []
     prev_value = None
@@ -305,7 +308,7 @@ def _extract(index_map, fam: SequenceFamily, target_len: int, target_level: int,
         if found is None:
             raise ExtractionError(
                 f"column {cid} exhausted at depth {fam.depth} while placing point {i}",
-                _partial_certificate(case, dual, indices, points),
+                MonCertificate(tuple(indices), tuple(points), direction, (), label),
             )
         points.append(found[0])
         prev_value = found[1]
@@ -318,19 +321,7 @@ def _extract(index_map, fam: SequenceFamily, target_len: int, target_level: int,
         if w is None:
             raise ExtractionError("growth discipline failed to produce a witness")
         witnesses.append(w)
-    direction = _DIRECTION[case]
-    if dual:
-        direction = _FLIP[direction]
-        case = case + "-dual"
-    return MonCertificate(tuple(indices), tuple(points), direction, tuple(witnesses), case)
-
-
-def _partial_certificate(case, dual, indices, points):
-    direction = _DIRECTION[case]
-    if dual:
-        direction = _FLIP[direction]
-        case = case + "-dual"
-    return MonCertificate(tuple(indices), tuple(points), direction, (), case)
+    return MonCertificate(tuple(indices), tuple(points), direction, tuple(witnesses), label)
 
 
 def extract_mon(index_map, family: SequenceFamily, target_len: int, target_level: int) -> MonCertificate:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gridideals import covering, game, transfer
+from gridideals import cli, covering, game, transfer
 from support import run_cli
 
 
@@ -308,6 +308,22 @@ def test_over_long_limit_is_refused_by_the_schema():
     longest = "-" + "1" * 999
     code, out = run_cli(*_mon_extract({"mode": "nondecreasing", "limit": longest}))
     assert code == 0, out
+
+
+def test_over_long_integers_are_refused_before_conversion():
+    error = {"error": "payload integers must have at most 4300 digits, not 5000"}
+    code, out = run_cli(["phi", "--ideal", "WR"], f"[[{'1' * 5000}, 0]]")
+    assert (code, json.loads(out)) == (1, error)
+    argv, _ = _mon_extract()
+    payload = f'{{"columns": [{{"mode": "nondecreasing", "limit": {"1" * 5000}}}]}}'
+    code, out = run_cli(argv, payload)
+    assert (code, json.loads(out)) == (1, error)
+    longest = "9" * cli.MAX_INT_DIGITS
+    code, out = run_cli(["phi", "--ideal", "WR"], f"[[{longest}, 0]]")
+    assert code == 0 and out == (
+        '{"certificate": {"cost": 1, "parts": [{"kind": "sparse-chain", "members": '
+        f'[[{longest}, 0]]}}]}}, "ideal": "WR", "phi": 1}}\n'
+    )
 
 
 def test_outputs_byte_identical():

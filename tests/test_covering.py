@@ -33,11 +33,19 @@ from gridideals.covering import (
     RANKED_CHAIN,
     nondecreasing_antichain,
     nondecreasing_chain_partition,
+    part_is_valid,
     ranked_antichain,
     sparse_antichain,
     sparse_chain_partition,
 )
-from gridideals.grid import nondecreasing_before, ranked, sparse_before
+from gridideals.grid import (
+    canonical_points,
+    is_ranked_chain,
+    is_sparse_chain,
+    nondecreasing_before,
+    ranked,
+    sparse_before,
+)
 from support import (
     random_points,
     random_sparse_chain,
@@ -320,7 +328,7 @@ def test_certificate_lines_are_fewest_among_minimum_covers():
 def test_chain_partition_independent_of_recursion_limit():
     # augmenting paths in this set run about 170 vertices deep
     rng = random.Random(0)
-    pts = rng.sample([(c, r) for c in range(60) for r in range(60)], 400)
+    pts = tuple(sorted(rng.sample([(c, r) for c in range(60) for r in range(60)], 400)))
     expected = nondecreasing_chain_partition(pts)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 100)
@@ -434,6 +442,50 @@ def test_ranked_line_search_matches_enumeration(rank_name, pts):
     partition = partial(covering._ranked_chain_partition, rank=rank)
     got = covering._best_lines(pts, partition, ranked_antichain, "WRpi")
     assert got == reference_best_lines(pts, partition)
+
+
+def _contract_results(ideal, kind, rank, pts):
+    """What every canonicalising entry point answers on pts."""
+    cost, cert = phi(ideal, pts)
+    kinds = (VERTICAL_LINE, kind)
+    return (
+        cost, cert, phi_cost(ideal, pts), cert.validate(pts, rank=rank),
+        sparse_chain_cover_number(pts),
+        oracle_cover_cost(pts, kinds, rank=rank), brute_force_cover(pts, kinds, rank=rank),
+        [part_is_valid(k, pts, rank) for k in kinds],
+        is_sparse_chain(pts), [is_ranked_chain(r, pts) for r in RANK_CATALOG.values()],
+    )
+
+
+def test_entry_points_canonicalise_their_input():
+    cases = [(WR, SPARSE_CHAIN, None), (ED, GRAPH, None), (EDUP, NONDECREASING_GRAPH, None)]
+    cases += [(wr_pi(rank), RANKED_CHAIN, rank) for rank in RANK_CATALOG.values()]
+    rng = random.Random(71)
+    for ideal, kind, rank in cases:
+        for _ in range(25):
+            pts = random_points(rng, 6, 6, 9)
+            scrambled = list(pts) + rng.choices(pts, k=3) if pts else []
+            rng.shuffle(scrambled)
+            got = _contract_results(ideal, kind, rank, scrambled)
+            assert got == _contract_results(ideal, kind, rank, pts), (ideal, scrambled)
+            assert got[3], (ideal, scrambled)
+
+
+def test_phi_canonicalises_once(monkeypatch):
+    calls = []
+
+    def counted(points):
+        calls.append(1)
+        return canonical_points(points)
+
+    monkeypatch.setattr(covering, "canonical_points", counted)
+    pool = [(c, r) for c in range(10) for r in range(10)]
+    rng = random.Random(73)
+    for ideal in (WR, ED, EDUP):
+        for _ in range(5):
+            calls.clear()
+            phi(ideal, rng.sample(pool, 20))
+            assert len(calls) == 1, ideal
 
 
 def test_line_search_node_bound(monkeypatch):

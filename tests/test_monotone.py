@@ -18,6 +18,7 @@ from gridideals import (
     sparse_chain_cover_number,
     verify_certificate,
 )
+from gridideals import monotone
 from support import (
     MON_FAMILY_MAKERS,
     family_dual_decreasing,
@@ -166,6 +167,15 @@ def test_resource_exhaustion_carries_prefix():
     cert = err.value.certificate
     assert cert is not None
     assert len(cert.points) < 12
+    assert (cert.case, cert.direction) == ("constant-terms-constant", "nondecreasing-constant")
+    # extract_mon raises the primary error, so the dual prefix is read directly
+    fam = family_dual_decreasing(random.Random(3), 30)
+    short = monotone._mirror(SequenceFamily(fam.columns, depth=3))
+    with pytest.raises(ExtractionError) as err:
+        monotone._extract(WEDGE_ZIGZAG, short, 9, 2, dual=True)
+    cert = err.value.certificate
+    assert (cert.case, cert.direction) == ("limits-increasing-dual", "decreasing")
+    assert cert.points == ((0, 3), (1, 4), (2, 6)) and cert.witnesses == ()
 
 
 def test_not_enough_columns():
