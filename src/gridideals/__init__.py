@@ -22,18 +22,17 @@ _EXPORTS = {
         """,
         "game": """
             FiniteTree GameError GameState blocking_strategy coloring_to_tree
-            condition4_check decreasing_chain_to_coloring least_lex_opponent
-            normalize_family play random_opponent scripted_opponent transcript_json verdict
+            least_lex_opponent play random_opponent scripted_opponent transcript_json verdict
         """,
         "grid": """
-            Point canonical_points is_ranked_chain is_sparse_chain lex_before
-            nondecreasing_pair_color point_sum sparse_pair_color window_points
+            Point canonical_points is_ranked_chain is_sparse_chain point_sum
+            sparse_pair_color window_points
         """,
         "gridmaps": """
             DIAG_RANK MAX_RANK OFFSET_RANK RANK_CATALOG SKEW_RANK WEDGE_ZIGZAG
             IndexPointMap PartitionEmbedding PartitionWitness RankMap adversarial_value
             antidiagonal_height dyadic_partition jumping_condition partition_from_labels
-            partition_to_embedding pullback_coloring triangle_fold triangle_unfold
+            partition_to_embedding triangle_fold triangle_unfold
             validate_rank_map wedge_class_level wedge_zigzag_index wedge_zigzag_point
         """,
         "monotone": """

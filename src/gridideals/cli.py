@@ -30,8 +30,14 @@ def _emit(obj) -> None:
 
 
 # the longest integer a payload may hold, the interpreter's own default cap
-# on converting a digit string, checked before the conversion
+# on converting a digit string, checked before the conversion; a map whose
+# output passes it is refused before printing
 MAX_INT_DIGITS = 4300
+
+# the most that the rank values of one `map invert` call on a rank map may
+# sum to, counting one more per value.  A catalog rank map has at most
+# 2v + 1 preimages of value v, so one call lists at most 200,000 points
+MAX_RANK_SUM = 100_000
 
 # the input contract: each payload is checked against its file in schemas/
 _SCHEMAS = os.path.join(os.path.dirname(__file__), "schemas")
@@ -252,9 +258,28 @@ def _cmd_map(args) -> int:
         raise CliError(f"unknown map {name!r}")
     schema, key, fn = maps[args.map_cmd, name]
     inputs = _read_points(args.input) if schema == "points" else _read_payload(args.input, schema)
+    if key == "preimages" and sum(inputs) + len(inputs) > MAX_RANK_SUM:
+        raise CliError(
+            f"map invert rank values, each plus one, must sum to at most {MAX_RANK_SUM} "
+            "(cli.MAX_RANK_SUM)"
+        )
+    out = [fn(v) for v in inputs]
+    if _too_long(out, 10**MAX_INT_DIGITS):
+        raise CliError(
+            f"map {args.map_cmd} --name {name} gives an integer of more than "
+            f"{MAX_INT_DIGITS} digits (cli.MAX_INT_DIGITS)"
+        )
     # json writes the tuples the maps return as arrays
-    _emit({key: [fn(v) for v in inputs]})
+    _emit({key: out})
     return 0
+
+
+def _too_long(x, limit: int) -> bool:
+    """Whether an integer in x, or in the tuples and lists nested in it,
+    reaches limit in absolute value."""
+    if type(x) is int:
+        return abs(x) >= limit
+    return any(_too_long(v, limit) for v in x)
 
 
 def _verify_map(name: str, window: int) -> list[str]:

@@ -4,19 +4,21 @@ Player one plays a set from the ideal each round, player two answers
 with a point outside it, and player one aims to trap the picks inside a
 single ideal set.  For the chain families the blocking strategy walls
 off every column a future pick could pair up with, so the picks always
-form one chain generator.  The module also carries the finite
-transformations between colorings, decreasing set chains, trees, and
-partitions that surround the game.
+form one chain generator.  The module also builds the finite trees of
+Laflamme's game from a pair coloring: below each chosen point a node
+keeps the points of the large color class.  Under the sparse coloring
+every branch is one sparse chain, while a window's root ramification
+needs one generator per column (the finite shadow of WR not being
+weakly Ramsey).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .covering import IdealError, phi_cost
-from .grid import Point, is_sparse_chain, point_sum
-from .gridmaps import PartitionWitness
+from .grid import Point, is_sparse_chain, point_sum, window_points
 from .presentations import (
     IdealPresentation,
     SetDescriptor,
@@ -320,9 +322,6 @@ class FiniteTree:
             self._ram[node[:n]] = self._rule(parent, parent_ram, node[n - 1])
         return self._ram[node]
 
-    def children(self, node: Iterable[Point]) -> list[Point]:
-        return sorted(self.ramification(node))
-
     def nodes(self) -> list[tuple]:
         return sorted(self._ram)
 
@@ -358,10 +357,7 @@ def coloring_to_tree(
     """Tree whose ramification below a chosen point keeps only its big
     color section: small_class names the color class claimed small, and
     children survive in the opposite class."""
-    if isinstance(window, int):
-        pts = frozenset((c, r) for c in range(window) for r in range(window))
-    else:
-        pts = frozenset(window)
+    pts = frozenset(window_points(window) if isinstance(window, int) else window)
 
     def rule(parent, parent_ram, chosen):
         large = 1 - small_class(chosen)
@@ -370,48 +366,3 @@ def coloring_to_tree(
         )
 
     return FiniteTree(pts, rule, depth)
-
-
-# ---------------------------------------------------------------------------
-# chains, colorings, families of sets over the naturals
-
-
-def decreasing_chain_to_coloring(chain: Callable[[int], object]) -> Callable[[int, int], int]:
-    """Color a pair 0 exactly when the larger element belongs to the
-    smaller element's set."""
-
-    def color(n: int, m: int) -> int:
-        if n == m:
-            raise ValueError("pair required")
-        lo, hi = (n, m) if n < m else (m, n)
-        members = chain(lo)
-        inside = members(hi) if callable(members) else hi in members
-        return 0 if inside else 1
-
-    return color
-
-
-def normalize_family(family: Mapping[tuple, frozenset]) -> dict[tuple, frozenset]:
-    """Intersect each set with every family member whose index is no
-    longer and has no larger maximum, making the family monotone in that
-    preorder while staying pointwise inside the original."""
-    out = {}
-    for t, xt in family.items():
-        cur = set(xt)
-        lt = len(t)
-        mt = max(t, default=-1)
-        for s, xs in family.items():
-            if s != t and len(s) <= lt and max(s, default=-1) <= mt:
-                cur &= set(xs)
-        out[t] = frozenset(cur)
-    return out
-
-
-def condition4_check(witness: PartitionWitness, f: Callable[[int], int], window: int) -> bool:
-    """Strictly increasing and always jumping into a class indexed above
-    the previous value."""
-    vals = [f(n) for n in range(window)]
-    for a, b in zip(vals, vals[1:]):
-        if b <= a or witness.class_of(b) <= a:
-            return False
-    return True

@@ -52,11 +52,6 @@ def longest_increasing(keys) -> list[int]:
     return run[::-1]
 
 
-def lex_before(a: Point, b: Point) -> bool:
-    """Strict lexicographic comparison by (col, row)."""
-    return a < b
-
-
 def sparse_before(lo: Point, hi: Point) -> bool:
     return hi[0] > lo[0] + lo[1]
 
@@ -80,20 +75,11 @@ def is_chain(before: Callable[[Point, Point], bool], points: Iterable[Point]) ->
     return all(before(a, b) for a, b in pairwise(points))
 
 
-def _pair_color(before, a: Point, b: Point) -> int:
-    if a == b:
-        raise ValueError("pair required")
-    return 0 if before(min(a, b), max(a, b)) else 1
-
-
 def sparse_pair_color(a: Point, b: Point) -> int:
     """0 when two distinct points fit in one sparse chain, 1 otherwise."""
-    return _pair_color(sparse_before, a, b)
-
-
-def nondecreasing_pair_color(a: Point, b: Point) -> int:
-    """0 when the pair fits on the graph of a nondecreasing function."""
-    return _pair_color(nondecreasing_before, a, b)
+    if a == b:
+        raise ValueError("pair required")
+    return 0 if sparse_before(min(a, b), max(a, b)) else 1
 
 
 def is_sparse_chain(points: Iterable[Point]) -> bool:

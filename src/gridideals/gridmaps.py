@@ -210,29 +210,6 @@ def adversarial_value(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# coloring pullback
-
-
-def pullback_coloring(
-    f: Callable[[int], Point], base: Callable[[Point, Point], int]
-) -> Callable[[int, int], int]:
-    """Pull a point-pair coloring back along an index map.
-
-    Pairs with equal images get color 1.
-    """
-
-    def chi(n: int, m: int) -> int:
-        if n == m:
-            raise ValueError("pair required")
-        a, b = f(n), f(m)
-        if a == b:
-            return 1
-        return base(a, b)
-
-    return chi
-
-
-# ---------------------------------------------------------------------------
 # partitions of the naturals and their grid embeddings
 
 

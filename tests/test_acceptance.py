@@ -20,6 +20,7 @@ from gridideals import (
     blocking_strategy,
     brute_force_cover,
     build_chain_transfer,
+    coloring_to_tree,
     descriptor_in_ideal,
     dyadic_partition,
     extract_mon,
@@ -31,9 +32,11 @@ from gridideals import (
     partition_to_embedding,
     phi_cost,
     play,
+    point_sum,
     random_opponent,
     sample_range_chain,
     sparse_chain_cover_number,
+    sparse_pair_color,
     sparsity_witness,
     triangle_fold,
     triangle_unfold,
@@ -271,3 +274,26 @@ def test_criterion_9_adversarial_sequence():
                 assert cost <= 2
             checked += 1
     _report(9, f"{checked} monotone index sets stay within the cover bound")
+
+
+def test_criterion_10_wr_tree_branches_are_chains():
+    # the finite shadow of "WR is not weakly Ramsey": in the tree that keeps,
+    # below each chosen point, the points sparse with it, every branch is one
+    # sparse chain, yet no ramification is small.  A node's ramification holds
+    # every full window column past the largest coordinate sum chosen, and one
+    # full column costs one line or w chains
+    branches = nodes = tight = 0
+    for w, depth in [(w, 2) for w in range(6, 13)] + [(6, 3), (8, 3)]:
+        tree = coloring_to_tree(sparse_pair_color, lambda p: 1, depth, w)
+        for branch in tree.branches():
+            assert phi_cost("WR", branch) == 1, branch
+            branches += 1
+        assert phi_cost("WR", tree.ramification(())) == w
+        for node in tree.nodes():  # the root and every inner node
+            bound = max(0, w - 1 - max(map(point_sum, node), default=-1))
+            cost = phi_cost("WR", tree.ramification(node))
+            assert cost >= bound, (w, node, cost)
+            nodes += 1
+            tight += cost == bound
+    _report(10, f"{branches} tree branches cost 1; {nodes} ramifications meet their "
+                f"column bound, {tight} of them exactly")

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import pathlib
@@ -326,6 +327,45 @@ def test_over_long_integers_are_refused_before_conversion():
     )
 
 
+def test_map_invert_past_the_rank_bound_is_a_json_error(monkeypatch):
+    from gridideals import RANK_CATALOG
+
+    # the stated point count: a catalog rank map has at most 2v + 1 preimages of v
+    assert all(
+        len(rank.preimages(v)) <= 2 * v + 1 for rank in RANK_CATALOG.values() for v in range(200)
+    )
+
+    def error(bound):
+        return {"error": f"map invert rank values, each plus one, must sum to at most {bound} "
+                         "(cli.MAX_RANK_SUM)"}
+
+    code, out = run_cli(["map", "invert", "--name", "max-rank"], f"[{'9' * cli.MAX_INT_DIGITS}]")
+    assert (code, json.loads(out)) == (1, error(100000))
+    monkeypatch.setattr(cli, "MAX_RANK_SUM", 10)
+    code, out = run_cli(["map", "invert", "--name", "diag-rank"], "[4, 4]")
+    assert code == 0 and len(json.loads(out)["preimages"][1]) == 4
+    code, out = run_cli(["map", "invert", "--name", "diag-rank"], "[4, 5]")
+    assert (code, json.loads(out)) == (1, error(10))
+
+
+@pytest.mark.parametrize(
+    "action, name, point",
+    [
+        ("apply", "triangle-fold", "[{n}, {n}]"),
+        ("apply", "diag-rank", "[{n}, 0]"),
+        ("invert", "wedge-zigzag", "[0, {n}]"),
+    ],
+)
+def test_map_output_past_the_digit_cap_is_a_json_error(action, name, point):
+    # the input integers are within MAX_INT_DIGITS, the map's output is not
+    payload = "[" + point.format(n="9" * cli.MAX_INT_DIGITS) + "]"
+    code, out = run_cli(["map", action, "--name", name], payload)
+    assert (code, json.loads(out)) == (1, {
+        "error": f"map {action} --name {name} gives an integer of more than 4300 digits "
+                 "(cli.MAX_INT_DIGITS)"
+    })
+
+
 def test_outputs_byte_identical():
     pairs = [
         (["phi", "--ideal", "EDup"], "[[0,1],[1,0],[4,4]]"),
@@ -444,6 +484,10 @@ def test_package_names_follow_their_module(monkeypatch):
     import gridideals
     from gridideals import covering
 
+    # every exported name is its submodule's binding, so no entry is stale
+    for name in gridideals.__all__:
+        module = importlib.import_module(f"gridideals.{gridideals._EXPORTS[name]}")
+        assert getattr(gridideals, name) is getattr(module, name), name
     assert gridideals.phi is covering.phi
     monkeypatch.setattr(covering, "phi", len)
     assert gridideals.phi is len and "phi" not in vars(gridideals)

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import random
 import sys
 
 import pytest
@@ -18,15 +17,11 @@ from gridideals import (
     blocking_strategy,
     coloring_to_tree,
     column,
-    condition4_check,
-    decreasing_chain_to_coloring,
     descriptor_in_ideal,
-    dyadic_partition,
     empty_set,
     finite_points,
     is_sparse_chain,
     least_lex_opponent,
-    normalize_family,
     phi_cost,
     play,
     random_opponent,
@@ -290,7 +285,7 @@ def test_transcripts_grow_linearly():
 
 
 # ---------------------------------------------------------------------------
-# trees and transformations
+# trees built from colorings
 
 
 def test_tree_examples():
@@ -337,61 +332,3 @@ def test_tree_walks_independent_of_recursion_limit():
         sys.setrecursionlimit(old)
     assert deepest == frozenset({(3000, 0)})
     assert branches == [branch]
-
-
-def test_chain_coloring_examples():
-    tail = decreasing_chain_to_coloring(lambda n: (lambda m: m > n))
-    assert all(tail(n, m) == 0 for n in range(5) for m in range(n + 1, 9))
-    evens = decreasing_chain_to_coloring(lambda n: {m for m in range(40) if m % 2 == 0 and m > n})
-    assert evens(1, 4) == 0
-    assert evens(1, 3) == 1
-    with pytest.raises(ValueError):
-        evens(2, 2)
-
-
-def test_chain_coloring_reproduces_chain():
-    chain = {n: frozenset(m for m in range(40) if m % 3 == 0 and m > n) for n in range(10)}
-    color = decreasing_chain_to_coloring(lambda n: chain[n])
-    for n in range(10):
-        derived = {m for m in range(n + 1, 40) if color(n, m) == 0}
-        assert derived == set(chain[n])
-
-
-def test_normalize_family():
-    full = frozenset(range(10))
-    fam = {(): full}
-    assert normalize_family(fam) == fam
-    fam = {(1,): frozenset({1, 2, 3}), (2, 2): frozenset({2, 3, 4})}
-    out = normalize_family(fam)
-    assert out[(2, 2)] == frozenset({2, 3})  # (1,) is shorter with smaller max
-    assert out[(1,)] == frozenset({1, 2, 3})
-    fam = {(0,): full, (1, 1): full, (2,): full}
-    assert all(v == full for v in normalize_family(fam).values())
-
-
-def test_normalize_family_monotone_in_preorder():
-    rng = random.Random(23)
-    for _ in range(30):
-        fam = {}
-        for _ in range(rng.randint(1, 6)):
-            key = tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 3)))
-            fam[key] = frozenset(rng.sample(range(12), rng.randint(3, 10)))
-        out = normalize_family(fam)
-        for t in out:
-            assert out[t] <= fam[t]
-            for s in out:
-                if len(s) <= len(t) and max(s, default=-1) <= max(t, default=-1):
-                    assert out[t] <= out[s]
-
-
-def test_condition4_examples():
-    from gridideals import partition_from_labels
-
-    ident = partition_from_labels(list(range(600)))
-    assert condition4_check(ident, lambda n: 2 ** n, 9)
-    assert condition4_check(ident, lambda n: n, 20)
-    assert not condition4_check(ident, lambda n: 5, 3)
-    # dyadic classes grow too slowly for any increasing selector
-    w = dyadic_partition()
-    assert not condition4_check(w, lambda n: 2 ** (n + 1) - 1, 8)
-

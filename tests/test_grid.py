@@ -7,8 +7,6 @@ from gridideals import (
     RANK_CATALOG,
     canonical_points,
     is_sparse_chain,
-    lex_before,
-    nondecreasing_pair_color,
     sparse_pair_color,
     window_points,
 )
@@ -34,12 +32,6 @@ def test_longest_increasing_is_a_longest_strict_run():
         assert not any(all(a < b for a, b in zip(sub, sub[1:])) for sub in longer), keys
 
 
-def test_lex_before():
-    assert lex_before((0, 0), (0, 1))
-    assert not lex_before((1, 0), (0, 9))
-    assert not lex_before((2, 3), (2, 3))
-
-
 def test_sparse_pair_color_examples():
     assert sparse_pair_color((0, 0), (1, 5)) == 0
     assert sparse_pair_color((2, 3), (4, 9)) == 1
@@ -49,21 +41,12 @@ def test_sparse_pair_color_examples():
 def test_pair_colors_reject_equal_points():
     with pytest.raises(ValueError):
         sparse_pair_color((1, 1), (1, 1))
-    with pytest.raises(ValueError):
-        nondecreasing_pair_color((2, 2), (2, 2))
-
-
-def test_nondecreasing_pair_color_examples():
-    assert nondecreasing_pair_color((0, 0), (1, 5)) == 0
-    assert nondecreasing_pair_color((1, 5), (2, 3)) == 1
-    assert nondecreasing_pair_color((3, 3), (3, 7)) == 1
 
 
 def test_colors_symmetric_on_window():
     pts = window_points(12)
     for a, b in combinations(pts, 2):
         assert sparse_pair_color(a, b) == sparse_pair_color(b, a)
-        assert nondecreasing_pair_color(a, b) == nondecreasing_pair_color(b, a)
 
 
 def test_is_sparse_chain_examples():

@@ -15,8 +15,6 @@ from gridideals import (
     partition_from_labels,
     partition_to_embedding,
     phi_cost,
-    pullback_coloring,
-    sparse_pair_color,
     triangle_fold,
     triangle_unfold,
     validate_rank_map,
@@ -109,17 +107,6 @@ def test_adversarial_classes_decrease_within_band():
         members.sort()
         vals = [v for _, v in members]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_pullback_coloring_examples():
-    chi = pullback_coloring(lambda n: (n, 0), sparse_pair_color)
-    assert chi(0, 1) == 0
-    const = pullback_coloring(lambda n: (2, 2), sparse_pair_color)
-    assert const(0, 5) == 1
-    rows = pullback_coloring(lambda n: (0, n), sparse_pair_color)
-    assert rows(1, 2) == 1
-    with pytest.raises(ValueError):
-        chi(3, 3)
 
 
 def test_dyadic_partition_validates():
