@@ -30,8 +30,8 @@ def _emit(obj) -> None:
 
 
 # the longest integer a payload may hold, the interpreter's own default cap
-# on converting a digit string, checked before the conversion; a map whose
-# output passes it is refused before printing
+# on converting a digit string, checked before the conversion; a map or
+# mon extract output that passes it is refused before printing
 MAX_INT_DIGITS = 4300
 
 # the most that the rank values of one `map invert` call on a rank map may
@@ -264,22 +264,24 @@ def _cmd_map(args) -> int:
             "(cli.MAX_RANK_SUM)"
         )
     out = [fn(v) for v in inputs]
-    if _too_long(out, 10**MAX_INT_DIGITS):
-        raise CliError(
-            f"map {args.map_cmd} --name {name} gives an integer of more than "
-            f"{MAX_INT_DIGITS} digits (cli.MAX_INT_DIGITS)"
-        )
+    _check_digits(out, f"map {args.map_cmd} --name {name}")
     # json writes the tuples the maps return as arrays
     _emit({key: out})
     return 0
 
 
-def _too_long(x, limit: int) -> bool:
-    """Whether an integer in x, or in the tuples and lists nested in it,
-    reaches limit in absolute value."""
-    if type(x) is int:
-        return abs(x) >= limit
-    return any(_too_long(v, limit) for v in x)
+def _check_digits(out, command: str) -> None:
+    """Raise CliError if an integer in out, or in the tuples and lists
+    nested in it, has more than MAX_INT_DIGITS digits."""
+    limit = 10**MAX_INT_DIGITS
+
+    def too_long(x) -> bool:
+        return abs(x) >= limit if type(x) is int else any(map(too_long, x))
+
+    if too_long(out):
+        raise CliError(
+            f"{command} gives an integer of more than {MAX_INT_DIGITS} digits (cli.MAX_INT_DIGITS)"
+        )
 
 
 def _verify_map(name: str, window: int) -> list[str]:
@@ -341,17 +343,16 @@ def _cmd_mon(args) -> int:
 
     extract = args.mon_cmd == "extract"
     payload = _read_payload(args.input, "mon-descriptor" if extract else "mon-verify")
-    index_map = gridmaps.INDEX_MAP_CATALOG.get(args.map)
-    if index_map is None:
-        raise CliError(f"unknown enumeration {args.map!r}")
     if extract:
         fam = _family_from_json(payload)
-        cert = monotone.extract_mon(index_map, fam, args.target_len, args.level)
+        cert = monotone.extract_mon(gridmaps.WEDGE_ZIGZAG, fam, args.target_len, args.level)
+        _check_digits([cert.indices, cert.points, *(w.points for w in cert.witnesses)],
+                      "mon extract")
         _emit(cert.to_json())
         return 0
     fam = _family_from_json(payload["descriptor"])
     cert = monotone.MonCertificate.from_json(payload["certificate"])
-    result = monotone.verify_certificate(cert, index_map, fam)
+    result = monotone.verify_certificate(cert, gridmaps.WEDGE_ZIGZAG, fam)
     _emit({"ok": result.ok, "reasons": list(result.reasons)})
     return 0 if result.ok else 2
 
@@ -433,11 +434,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ne = nsub.add_parser("extract")
     ne.add_argument("--target-len", type=int, required=True, dest="target_len")
     ne.add_argument("--level", type=int, default=0)
-    ne.add_argument("--map", default="wedge-zigzag")
     ne.add_argument("--input")
     ne.set_defaults(fn=_cmd_mon)
     nv = nsub.add_parser("verify")
-    nv.add_argument("--map", default="wedge-zigzag")
     nv.add_argument("--input")
     nv.set_defaults(fn=_cmd_mon)
 

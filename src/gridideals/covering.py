@@ -10,17 +10,17 @@ low point off with a block of points comparable to it; traces are
 hereditary, so no mask needs more than one part beyond the mask without
 its low point, and the first block that needs no more ends the search.
 The structured solver
-for WR, EDup and WRpi is one depth-first search over which occupied
-columns become whole lines, on every point set, with the rest
-partitioned by the family's one chain routine.  A chain holds one point
-per column, so the column multiplicities bound every node of the
-search.  Each chain kind also has an antichain routine, points that
-need one chain each; by Dilworth's theorem the sparse-chain and
-nondecreasing-graph antichains are as large as the partitions, and the
-search cuts its branches with them too (the ranked one is the most
-populated column).  The search is exponential in the worst case and
-stops with ``SearchScaleError`` past ``MAX_SEARCH_NODES`` nodes.  ED
-has a closed form.
+for every family is one depth-first search over which occupied columns
+become whole lines, with the rest partitioned by the family's one chain
+routine.  A chain holds one point per column, so the column
+multiplicities bound every node of the search; for graphs that bound is
+exact, so ED's search stays polynomial.  Each chain kind also has an
+antichain routine, points that need one chain each, and the search cuts
+its branches with them too.  The sparse-chain and nondecreasing-graph
+antichains are as large as the partitions by Dilworth's theorem; the
+graph and ranked ones are the most populated column, which is exact for
+graphs.  The search is exponential in the worst case and stops with
+``SearchScaleError`` past ``MAX_SEARCH_NODES`` nodes.
 
 A point set is canonicalised (deduplicated, sorted by (col, row)) once,
 at the public call; the partitions, antichains and line search below it
@@ -52,7 +52,7 @@ GRAPH = "graph"
 NONDECREASING_GRAPH = "nondecreasing-graph"
 RANKED_CHAIN = "ranked-chain"
 
-ORACLE_LIMIT = 12
+ORACLE_LIMIT = 16
 
 # The line search stops past MAX_SEARCH_NODES nodes: the seeded cover
 # ladder needs at most 2,991 and 40-point WR sets in a 28x28 box at most
@@ -358,19 +358,6 @@ def _graph_partition(pts) -> list[tuple[Point, ...]]:
     return [tuple(p for p in row if p is not None) for row in rows]
 
 
-def _ed_lines(pts) -> list[int]:
-    """Lines of a minimum cover by lines and graphs.
-
-    Turning a column into a line zeroes its multiplicity, and the
-    remainder needs exactly its maximum column multiplicity many graphs,
-    so the optimum takes lines on the most populated columns only.
-    """
-    groups = _column_groups(pts)
-    order = sorted(groups, key=lambda c: (-len(groups[c]), c))
-    costs = [s + len(groups[c]) for s, c in enumerate(order)] + [len(order)]
-    return order[: costs.index(min(costs))]
-
-
 def _augment(adj, match_right, root, seen) -> bool:
     """Search for an augmenting path from left vertex root, depth first
     with an explicit stack, and flip it when found.  Right vertices are
@@ -437,12 +424,12 @@ def nondecreasing_antichain(pts) -> list[Point]:
     return sorted(pts[i] for i in longest_increasing([-p[1] for p in pts]))
 
 
-def ranked_antichain(pts) -> list[Point]:
-    """Canonical points needing one ranked chain each, for every rank
-    map: the most populated column, the leftmost on a tie.  A chain
-    holds one point per column."""
-    groups = _column_groups(pts)
-    return max(groups.values(), key=len, default=[])
+def column_antichain(pts) -> list[Point]:
+    """Canonical points needing one graph or ranked chain each, for every
+    rank map: the most populated column, the leftmost on a tie.  Such a
+    chain holds one point per column; for graphs the column is as large
+    as the partition."""
+    return max(_column_groups(pts).values(), key=len, default=[])
 
 
 def _ranked_chain_partition(pts, rank) -> list[tuple[Point, ...]]:
@@ -476,9 +463,10 @@ def _best_lines(
     lines, less its points on the ``need`` open columns holding most of
     them, and the antichain of the passed-over columns.  A subset is
     partitioned only when its size plus the antichain of the points it
-    leaves is below the best.
-    Past ``MAX_SEARCH_NODES`` nodes the search raises
-    ``SearchScaleError``.
+    leaves is below the best.  For graphs the multiplicity bound is the
+    cheapest cover below the node, so every node kept has a strictly
+    better leaf below it and the search is polynomial.  Past
+    ``MAX_SEARCH_NODES`` nodes the search raises ``SearchScaleError``.
     """
     groups = _column_groups(pts)
     cols = sorted(groups)
@@ -541,27 +529,27 @@ def _best_lines(
 # dispatch
 
 
+# family -> (chain kind, partition, antichain); the ranked family's
+# partition also takes its rank map
+_FAMILIES = {
+    "WR": (SPARSE_CHAIN, sparse_chain_partition, sparse_antichain),
+    "ED": (GRAPH, _graph_partition, column_antichain),
+    "EDup": (NONDECREASING_GRAPH, nondecreasing_chain_partition, nondecreasing_antichain),
+    "WRpi": (RANKED_CHAIN, _ranked_chain_partition, column_antichain),
+}
+
+
 def _solve(ideal, pts):
     """Chain kind, line columns and chains of a minimum cover of pts."""
-    if isinstance(ideal, str):
-        family, rank = ideal, None
-    else:
-        family, rank = getattr(ideal, "family", None), getattr(ideal, "rank_map", None)
-    if family == "ED":
-        lines = _ed_lines(pts)
-        return GRAPH, lines, _graph_partition([p for p in pts if p[0] not in lines])
-    if family == "WR":
-        kind, partition, antichain = SPARSE_CHAIN, sparse_chain_partition, sparse_antichain
-    elif family == "EDup":
-        kind, partition = NONDECREASING_GRAPH, nondecreasing_chain_partition
-        antichain = nondecreasing_antichain
-    elif family == "WRpi":
+    family = ideal if isinstance(ideal, str) else getattr(ideal, "family", None)
+    rank = getattr(ideal, "rank_map", None)
+    if family not in _FAMILIES:
+        raise IdealError(f"no generator system: {family!r}")
+    kind, partition, antichain = _FAMILIES[family]
+    if kind == RANKED_CHAIN:
         if rank is None:
             raise IdealError("ranked family without a rank map")
-        kind, partition = RANKED_CHAIN, partial(_ranked_chain_partition, rank=rank)
-        antichain = ranked_antichain
-    else:
-        raise IdealError(f"no generator system: {family!r}")
+        partition = partial(partition, rank=rank)
     return (kind, *_best_lines(pts, partition, antichain, family))
 
 

@@ -198,16 +198,16 @@ def least_lex_opponent(state: GameState, blocked: SetDescriptor) -> Point:
     return pick_outside(blocked)
 
 
-def random_opponent(seed: int, spread: int = 8, row_spread: int = 12):
+def random_opponent(seed: int):
     """Seeded legal opponent: random points near the action, with a
     deterministic fallback beyond the blocked columns.
 
-    The points are drawn in no column past the largest pick sum plus
-    spread.  That sum is kept with the state and the number of moves it
-    was read from, so a call on the same state after more moves reads
-    only the new ones.  A call on another state, on fewer moves, or on a
-    state whose last move read before has been replaced reads them all
-    again.
+    The points are drawn in no column past the largest pick sum plus 8
+    and in no row past 12.  That sum is kept with the state and the
+    number of moves it was read from, so a call on the same state after
+    more moves reads only the new ones.  A call on another state, on
+    fewer moves, or on a state whose last move read before has been
+    replaced reads them all again.
     """
     rng = random.Random(seed)
     seen: tuple = (None, 0, None)  # state, moves read, the last move read
@@ -222,10 +222,10 @@ def random_opponent(seed: int, spread: int = 8, row_spread: int = 12):
         for _, k in moves[read:]:
             top = max(top, point_sum(k))
         seen = (state, len(moves), moves[-1] if moves else None)
-        hi = top + spread
+        hi = top + 8
         draw, contains = rng.randrange, blocked.contains
         for _ in range(64):
-            p = (draw(hi + 1), draw(row_spread + 1))
+            p = (draw(hi + 1), draw(13))
             if not contains(p):
                 return p
         return pick_outside(blocked, beyond=hi)
@@ -352,12 +352,13 @@ def coloring_to_tree(
     coloring: Callable[[Point, Point], int],
     small_class: Callable[[Point], int],
     depth: int,
-    window: int | Iterable[Point],
+    window: int,
 ) -> FiniteTree:
-    """Tree whose ramification below a chosen point keeps only its big
-    color section: small_class names the color class claimed small, and
-    children survive in the opposite class."""
-    pts = frozenset(window_points(window) if isinstance(window, int) else window)
+    """Tree on the window x window points whose ramification below a
+    chosen point keeps only its big color section: small_class names the
+    color class claimed small, and children survive in the opposite
+    class."""
+    pts = frozenset(window_points(window))
 
     def rule(parent, parent_ram, chosen):
         large = 1 - small_class(chosen)

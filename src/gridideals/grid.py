@@ -22,11 +22,9 @@ def canonical_points(points: Iterable[Point]) -> tuple[Point, ...]:
     return tuple(sorted(set(points)))
 
 
-def window_points(cols: int, rows: int | None = None) -> list[Point]:
-    """All points with col < cols and row < rows, column-major order."""
-    if rows is None:
-        rows = cols
-    return [(c, r) for c in range(cols) for r in range(rows)]
+def window_points(side: int) -> list[Point]:
+    """All points with col and row below side, column-major order."""
+    return [(c, r) for c in range(side) for r in range(side)]
 
 
 def longest_increasing(keys) -> list[int]:

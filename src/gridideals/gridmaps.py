@@ -181,8 +181,6 @@ class IndexPointMap(NamedTuple):
 
 WEDGE_ZIGZAG = IndexPointMap("wedge-zigzag", wedge_zigzag_point, wedge_zigzag_index)
 
-INDEX_MAP_CATALOG = {WEDGE_ZIGZAG.name: WEDGE_ZIGZAG}
-
 
 def wedge_class_level(p: Point) -> int:
     """Class level of a point: its column on the upper wedge, its row on

@@ -135,20 +135,21 @@ class SequenceFamily(NamedTuple):
             raise DescriptorError(f"descriptor invalid: no column {c}")
         return self.columns[c].term(r)
 
-    def validate(self, check_depth: int = 24) -> None:
-        """Consistency of declared shapes at the verification depth.
+    def validate(self) -> None:
+        """Consistency of declared shapes on the first 24 subsequence
+        positions.
 
         The check is a rank cutoff, not an epsilon: terms must respect
         the declared monotonicity and stay on the limit's side of it.
         """
         for i, spec in enumerate(self.columns):
-            rows = [spec.jmap(k) for k in range(check_depth)]
+            rows = [spec.jmap(k) for k in range(24)]
             if any(b <= a for a, b in zip(rows, rows[1:])):
                 raise DescriptorError(
                     f"descriptor invalid: column {i} subsequence rows not increasing"
                 )
             if spec.mode == EVENTUALLY_CONSTANT:
-                tail = [spec.value_at(spec.threshold + k) for k in range(check_depth)]
+                tail = [spec.value_at(spec.threshold + k) for k in range(24)]
                 if any(v != spec.limit for v in tail):
                     raise DescriptorError(
                         f"descriptor invalid: column {i} not constant past its threshold"

@@ -305,7 +305,6 @@ def dense_subset(
     n: int,
     *,
     min_col: int = 0,
-    search_bound: int = 512,
 ) -> tuple[Point, ...]:
     """A size-n subset of an infinite set lying inside one generator.
 
@@ -313,8 +312,8 @@ def dense_subset(
     points.  Rule universes (membership callables): a greedy chain is
     grown in the family's chain order (grid.sparse_before for WR,
     grid.ranked for WRpi), each next point the lexicographically least
-    member that comes after the previous one.  Growing the
-    chain is bounded by search_bound, and outputs are prefixes of each
+    member that comes after the previous one.  The chain is grown in
+    the 512 columns from min_col, and outputs are prefixes of each
     other as n increases.
     """
     if ideal.family == "WR":
@@ -336,7 +335,7 @@ def dense_subset(
 
     member: Callable[[Point], bool] = universe
     row_cap = max(8 * n, 64)
-    hi = min_col + search_bound
+    hi = min_col + 512
 
     def least_member(col_from: int, admissible: Callable[[Point], bool]) -> Point | None:
         for c in range(col_from, hi):
@@ -354,6 +353,6 @@ def dense_subset(
         prev = chain[-1]
         nxt = least_member(max(prev[0] + 1, min_col), lambda p: before(prev, p))
         if nxt is None:
-            raise ValueError("chain search exhausted; raise search_bound")
+            raise ValueError("chain search exhausted within 512 columns of min_col")
         chain.append(nxt)
     return tuple(chain)

@@ -313,17 +313,18 @@ def verify_preimage_decomposition(transfer: ChainTransfer, chain_points: Iterabl
     )
 
 
-def sample_range_chain(transfer: ChainTransfer, rng, max_len: int = 8, row_cap: int = 40) -> tuple[Point, ...]:
-    """Random chain generator of the source family inside the range."""
+def sample_range_chain(transfer: ChainTransfer, rng) -> tuple[Point, ...]:
+    """Random chain generator of the source family inside the range: at
+    most 8 points, drawn from the images of rows below 40."""
     pool = []
     for c in range(transfer.col_bound):
-        for r in range(row_cap):
+        for r in range(40):
             pool.append(transfer.apply((c, r)))
     pool = sorted(set(pool), key=lambda q: (transfer.pi(q), q))
     start = rng.choice(pool[: max(4, len(pool) // 8)])
     before = ranked(transfer.pi)
     chain = [start]
-    while len(chain) < max_len:
+    while len(chain) < 8:
         admissible = sorted(q for q in pool if before(chain[-1], q))
         if not admissible:
             break

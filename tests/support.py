@@ -137,6 +137,20 @@ def reference_best_lines(pts, partition):
     return best_lines, best_chains
 
 
+def reference_ed_lines(pts) -> list[int]:
+    """Lines of a minimum cover by lines and graphs: the closed form the
+    line search must match on ED, lines and chains.
+
+    Turning a column into a line zeroes its multiplicity, and the
+    remainder needs exactly its maximum column multiplicity many graphs,
+    so the optimum takes lines on the most populated columns only.
+    """
+    groups = _column_groups(pts)
+    order = sorted(groups, key=lambda c: (-len(groups[c]), c))
+    costs = [s + len(groups[c]) for s, c in enumerate(order)] + [len(order)]
+    return order[: costs.index(min(costs))]
+
+
 def reference_oracle_dp(pts, kinds, rank):
     """covering._oracle_dp as a full enumeration: every kind's valid-mask
     table over every mask, and a DP over every submask of every mask.  The
@@ -199,16 +213,16 @@ def json_descriptor_contains(doc: dict, p) -> bool:
     )
 
 
-def reference_random_opponent(seed: int, spread: int = 8, row_spread: int = 12):
+def reference_random_opponent(seed: int):
     """game.random_opponent with the largest pick sum recomputed from
     every pick each call and the draws made through randint: the
     reference the incremental opponent must match."""
     rng = random.Random(seed)
 
     def opponent(state, blocked: SetDescriptor):
-        hi = max((point_sum(k) for k in state.picks()), default=0) + spread
+        hi = max((point_sum(k) for k in state.picks()), default=0) + 8
         for _ in range(64):
-            p = (rng.randint(0, hi), rng.randint(0, row_spread))
+            p = (rng.randint(0, hi), rng.randint(0, 12))
             if not blocked.contains(p):
                 return p
         return pick_outside(blocked, beyond=hi)

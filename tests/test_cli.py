@@ -366,6 +366,25 @@ def test_map_output_past_the_digit_cap_is_a_json_error(action, name, point):
     })
 
 
+def test_mon_extract_past_the_digit_cap_is_a_json_error():
+    # the jmap coefficients are within MAX_INT_DIGITS, the certificate's
+    # enumeration indices are not
+    n = int("9" * cli.MAX_INT_DIGITS)
+    column = {"mode": "nondecreasing", "limit": "3", "jmap": [n, n]}
+    argv = ["mon", "extract", "--target-len", "20", "--level", "5"]
+    code, out = run_cli(argv, json.dumps({"columns": [column] * 40}))
+    assert (code, json.loads(out)) == (1, {
+        "error": "mon extract gives an integer of more than 4300 digits (cli.MAX_INT_DIGITS)"
+    })
+
+
+def test_mon_has_no_map_flag():
+    # wedge-zigzag is the one enumeration; argparse refuses the removed flag
+    for argv in (["mon", "extract", "--target-len", "1"], ["mon", "verify"]):
+        with pytest.raises(SystemExit):
+            run_cli([*argv, "--map", "wedge-zigzag"], "{}")
+
+
 def test_outputs_byte_identical():
     pairs = [
         (["phi", "--ideal", "EDup"], "[[0,1],[1,0],[4,4]]"),

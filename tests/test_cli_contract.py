@@ -3,7 +3,8 @@
 Valid payloads are drawn from strategies built from the schema files the
 CLI reads, and invalid ones by one mutation of a valid payload.  The CLI
 must refuse a payload exactly when jsonschema's Draft7Validator does,
-apart from the named checks that no schema states.
+apart from the named checks that no schema states, and every output of
+an accepted payload must be valid against its output schema.
 """
 
 import copy
@@ -48,6 +49,22 @@ COMMANDS = {
     "invert-rank": (["map", "invert", "--name", "max-rank"], "naturals"),
     "invert-zigzag": (["map", "invert", "--name", "wedge-zigzag"], "points"),
     "mon-verify": (["mon", "verify"], "mon-verify"),
+}
+
+# each subcommand's exit-0 output as (schema, instance) pairs: a schema
+# file's name, or an inline schema where no file describes the output
+WITNESS = SCHEMAS["mon-certificate"]["properties"]["witnesses"]["items"]
+OUTPUTS = {
+    "phi": lambda doc: [("cover-certificate", doc["certificate"])],
+    "witness": lambda doc: [(WITNESS, doc["witness"])],
+    "oracle": lambda doc: [("cover-certificate", doc)],
+    "apply-fold": lambda doc: [("points", doc["points"])],
+    "apply-rank": lambda doc: [("naturals", doc["values"])],
+    "apply-zigzag": lambda doc: [("points", doc["points"])],
+    "invert-fold": lambda doc: [("points", doc["points"])],
+    "invert-rank": lambda doc: [("points", pts) for pts in doc["preimages"]],
+    "invert-zigzag": lambda doc: [("naturals", doc["indices"])],
+    "mon-verify": lambda doc: [({"enum": [{"ok": True, "reasons": []}]}, doc)],
 }
 
 # the errors a schema-valid payload may still get, each from a check that
@@ -216,6 +233,10 @@ def _assert_contract(name: str, payload) -> None:
         assert code == 1 and doc["error"].startswith("payload"), (payload, out)
     elif code == 1:
         assert doc["error"] in SEMANTIC, (payload, out)
+    elif code == 0:
+        for schema, instance in OUTPUTS[name](doc):
+            schema = SCHEMAS[schema] if isinstance(schema, str) else schema
+            assert Draft7Strict(schema, registry=REGISTRY).is_valid(instance), (payload, out)
 
 
 @pytest.mark.parametrize("name", COMMANDS)

@@ -31,10 +31,12 @@ from gridideals.covering import (
     GRAPH,
     NONDECREASING_GRAPH,
     RANKED_CHAIN,
+    CoverCertificate,
+    CoverPart,
+    column_antichain,
     nondecreasing_antichain,
     nondecreasing_chain_partition,
     part_is_valid,
-    ranked_antichain,
     sparse_antichain,
     sparse_chain_partition,
 )
@@ -51,6 +53,7 @@ from support import (
     random_sparse_chain,
     random_witness_family,
     reference_best_lines,
+    reference_ed_lines,
     reference_oracle_dp,
     stack_depth,
 )
@@ -63,7 +66,7 @@ def test_brute_force_examples():
 
 
 def test_brute_force_scale_guard():
-    pts = [(c, 0) for c in range(13)]
+    pts = [(c, 0) for c in range(17)]
     with pytest.raises(OracleScaleError):
         brute_force_cover(pts, (SPARSE_CHAIN,))
 
@@ -151,6 +154,21 @@ def test_ranked_cover_matches_oracle():
             assert cert.validate(pts, rank=rank)
 
 
+def test_phi_matches_oracle_on_13_to_16_points():
+    # one seeded set per family and size, the WRpi ones under every rank map
+    pool = [(c, r) for c in range(8) for r in range(8)]
+    cases = [(family, kind, None, n) for family, kind in
+             (("WR", SPARSE_CHAIN), ("ED", GRAPH), ("EDup", NONDECREASING_GRAPH))
+             for n in (13, 14, 15, 16)]
+    cases += [(wr_pi(rank), RANKED_CHAIN, rank, n)
+              for rank in RANK_CATALOG.values() for n in (13, 14)]
+    for ideal, kind, rank, n in cases:
+        pts = random.Random(f"oracle-tier-{kind}-{n}").sample(pool, n)
+        cost, cert = phi(ideal, pts)
+        assert cert.validate(pts, rank=rank)
+        assert cost == oracle_cover_cost(pts, (VERTICAL_LINE, kind), rank=rank), (ideal, pts)
+
+
 def test_oracle_deterministic():
     rng = random.Random(47)
     for _ in range(25):
@@ -200,6 +218,15 @@ def test_oracle_dp_matches_full_enumeration_seeded():
             pts = tuple(sorted(rng.sample(pool, n)))
             got = covering._oracle_dp(pts, kinds, rank)
             assert got == reference_oracle_dp(pts, kinds, rank), (kinds, rank, pts)
+
+
+def test_oracle_dp_matches_full_enumeration_past_12_points():
+    rng = random.Random(79)
+    pool = [(c, r) for c in range(8) for r in range(8)]
+    kinds = (VERTICAL_LINE, SPARSE_CHAIN, NONDECREASING_GRAPH)
+    for n in (13, 14):
+        pts = tuple(sorted(rng.sample(pool, n)))
+        assert covering._oracle_dp(pts, kinds, None) == reference_oracle_dp(pts, kinds, None), pts
 
 
 # sha256 over the brute_force_cover certificate JSON of each set in turn, and
@@ -368,10 +395,11 @@ def test_certificates_match_recorded_digests():
     assert got == CERTIFICATE_DIGESTS
 
 
-# the same over WR and EDup sets of 12-20 points in a 12x12 box, nearly all
-# on more than 6 columns, so the digests pin the line search's deeper nodes
+# the same over WR, ED and EDup sets of 12-20 points in a 12x12 box, nearly
+# all on more than 6 columns, so the digests pin the line search's deeper nodes
 WIDE_CERTIFICATE_DIGESTS = {
     "WR": ("894f5357d2ae113b1106160afa2088b125fc2403238ebe4341fa3e7fd68d2a9c", 1100),
+    "ED": ("33b9478f72f235dd711dfab7a9cbe1ec46c560ffe646ce334f4828ef77fc10dc", 462),
     "EDup": ("73566dc2bb84c8c222f7503d139e2853a741a1790c8887be06e99c3e54486f8c", 788),
 }
 
@@ -379,7 +407,7 @@ WIDE_CERTIFICATE_DIGESTS = {
 def test_wide_certificates_match_recorded_digests():
     pool = [(c, r) for c in range(12) for r in range(12)]
     got = {}
-    for name, ideal in (("WR", WR), ("EDup", EDUP)):
+    for name, ideal in (("WR", WR), ("ED", ED), ("EDup", EDUP)):
         rng = random.Random(f"wide-cert-{name}")
         digest, total = hashlib.sha256(), 0
         for _ in range(150):
@@ -388,6 +416,43 @@ def test_wide_certificates_match_recorded_digests():
             total += cost
         got[name] = (digest.hexdigest(), total)
     assert got == WIDE_CERTIFICATE_DIGESTS
+
+
+def _staircases(width):
+    """Column c holds rows 0..c, or rows 0..width-1-c: every multiplicity
+    from 1 to width once, rising or falling."""
+    return [[(c, r) for c in range(width) for r in range(c + 1)],
+            [(c, r) for c in range(width) for r in range(width - c)]]
+
+
+def _reference_ed_certificate(pts):
+    pts = canonical_points(pts)
+    lines = sorted(reference_ed_lines(pts))
+    parts = [CoverPart(VERTICAL_LINE, tuple(p for p in pts if p[0] == c)) for c in lines]
+    rest = [p for p in pts if p[0] not in lines]
+    parts.extend(CoverPart(GRAPH, chain) for chain in covering._graph_partition(rest))
+    return CoverCertificate(tuple(parts))
+
+
+def test_ed_search_matches_the_closed_form():
+    rng = random.Random(83)
+    sets = _staircases(30) + _staircases(100)
+    for _ in range(2000):
+        side = rng.randint(1, 30)
+        pool = [(c, r) for c in range(side) for r in range(rng.randint(1, 30))]
+        sets.append(rng.sample(pool, min(len(pool), rng.randint(0, 200))))
+    for pts in sets:
+        cost, cert = phi(ED, pts)
+        assert cert == _reference_ed_certificate(pts) and cost == cert.cost, pts
+
+
+def test_ed_search_stays_polynomial(monkeypatch):
+    monkeypatch.setattr(covering, "MAX_SEARCH_NODES", 20_000)
+    pool = [(c, r) for c in range(60) for r in range(60)]
+    sets = _staircases(100) + [random.Random(f"ed-{seed}").sample(pool, 3000) for seed in range(3)]
+    for pts in sets:
+        cost, cert = phi(ED, pts)
+        assert cert.validate(pts) and cost == _reference_ed_certificate(pts).cost
 
 
 def _pairwise_incomparable(before, pts):
@@ -406,15 +471,17 @@ def test_antichains_are_incomparable_and_as_large_as_the_partitions():
             assert set(found) <= set(pts) and len(set(found)) == len(found)
             assert _pairwise_incomparable(before, found), (antichain.__name__, pts)
             assert len(found) == len(partition(pts)), (antichain.__name__, pts)
-        found = ranked_antichain(pts)
+        found = column_antichain(pts)
         assert set(found) <= set(pts)
         assert len(found) == max((sum(p[0] == c for p in pts) for c, _ in pts), default=0)
+        assert len(found) == len(covering._graph_partition(pts))
         for rank in RANK_CATALOG.values():
             assert _pairwise_incomparable(ranked(rank), found)
 
 
 _FAMILY_ROUTINES = {
     "WR": (sparse_chain_partition, sparse_antichain),
+    "ED": (covering._graph_partition, column_antichain),
     "EDup": (nondecreasing_chain_partition, nondecreasing_antichain),
 }
 
@@ -440,7 +507,7 @@ def test_ranked_line_search_matches_enumeration(rank_name, pts):
     pts = tuple(sorted(pts))
     rank = RANK_CATALOG[rank_name]
     partition = partial(covering._ranked_chain_partition, rank=rank)
-    got = covering._best_lines(pts, partition, ranked_antichain, "WRpi")
+    got = covering._best_lines(pts, partition, column_antichain, "WRpi")
     assert got == reference_best_lines(pts, partition)
 
 
@@ -497,7 +564,7 @@ def test_line_search_node_bound(monkeypatch):
     assert issubclass(covering.SearchScaleError, ValueError)
 
 
-@pytest.mark.parametrize("family", ["WR", "EDup"])
+@pytest.mark.parametrize("family", ["WR", "ED", "EDup"])
 def test_forty_points_solve_within_the_node_bound(monkeypatch, family):
     monkeypatch.setattr(covering, "MAX_SEARCH_NODES", 50_000)
     pool = [(c, r) for c in range(28) for r in range(28)]
