@@ -9,18 +9,16 @@ partition DP serves as the independent oracle.  It splits each mask's
 low point off with a block of points comparable to it; traces are
 hereditary, so no mask needs more than one part beyond the mask without
 its low point, and the first block that needs no more ends the search.
-The structured solver
-for every family is one depth-first search over which occupied columns
-become whole lines, with the rest partitioned by the family's one chain
-routine.  A chain holds one point per column, so the column
-multiplicities bound every node of the search; for graphs that bound is
-exact, so ED's search stays polynomial.  Each chain kind also has an
-antichain routine, points that need one chain each, and the search cuts
-its branches with them too.  The sparse-chain and nondecreasing-graph
-antichains are as large as the partitions by Dilworth's theorem; the
-graph and ranked ones are the most populated column, which is exact for
-graphs.  The search is exponential in the worst case and stops with
-``SearchScaleError`` past ``MAX_SEARCH_NODES`` nodes.
+The structured solver for every family is one depth-first search over
+which occupied columns become whole lines, with the rest partitioned by
+the family's one chain routine.  A chain holds one point per column, so
+the column multiplicities bound every node of the search; for graphs
+that bound is exact, so ED's search stays polynomial.  Sparse chains and
+nondecreasing graphs also have an antichain routine, points that need
+one chain each, as many as the partition has chains by Dilworth's
+theorem, and the search cuts its branches with them too.  The search is
+exponential in the worst case and stops with ``SearchScaleError`` past
+``MAX_SEARCH_NODES`` nodes.
 
 A point set is canonicalised (deduplicated, sorted by (col, row)) once,
 at the public call; the partitions, antichains and line search below it
@@ -31,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from typing import Iterable, NamedTuple, Sequence
 
 from .grid import (
@@ -56,7 +54,7 @@ ORACLE_LIMIT = 16
 
 # The line search stops past MAX_SEARCH_NODES nodes: the seeded cover
 # ladder needs at most 2,991 and 40-point WR sets in a 28x28 box at most
-# 19,010.
+# 19,002.
 MAX_SEARCH_NODES = 1_000_000
 
 # The generator kinds; the oracle labels a block that fits several with
@@ -424,20 +422,17 @@ def nondecreasing_antichain(pts) -> list[Point]:
     return sorted(pts[i] for i in longest_increasing([-p[1] for p in pts]))
 
 
-def column_antichain(pts) -> list[Point]:
-    """Canonical points needing one graph or ranked chain each, for every
-    rank map: the most populated column, the leftmost on a tie.  Such a
-    chain holds one point per column; for graphs the column is as large
-    as the partition."""
-    return max(_column_groups(pts).values(), key=len, default=[])
-
-
 def _ranked_chain_partition(pts, rank) -> list[tuple[Point, ...]]:
     """Minimum partition of canonical points into ranked chains: by the
     oracle, except that a set which is one chain needs no search."""
     if pts and is_ranked_chain(rank, pts):
         return [tuple(pts)]
     return [part.members for part in brute_force_cover(pts, (RANKED_CHAIN,), rank=rank).parts]
+
+
+def _heavy_counts(mults, floor) -> list[int]:
+    """counts[i]: how many of mults[i:] are at least floor."""
+    return list(accumulate((m >= floor for m in reversed(mults)), initial=0))[::-1]
 
 
 def _best_lines(
@@ -452,18 +447,20 @@ def _best_lines(
     fewest lines wins.  A node has fixed a prefix of its subset: the
     columns taken as lines, the columns passed over before the last of
     them, and ``need`` lines still to take from the open columns after
-    it.  Three lower bounds hold for every cover below a node; a node
-    whose bound reaches the best cost holds no subset that could replace
-    the best, and is cut.  The first, checked at every node, counts
-    multiplicities: a chain holds one point per column and the ``need``
-    lines take at most ``need`` open columns, so the largest
-    multiplicity of the passed-over columns and the (need+1)-th largest
-    of the open ones stay on chains.  The other two count antichains,
-    whose points need a chain each: the antichain of the points off the
-    lines, less its points on the ``need`` open columns holding most of
-    them, and the antichain of the passed-over columns.  A subset is
-    partitioned only when its size plus the antichain of the points it
-    leaves is below the best.  For graphs the multiplicity bound is the
+    it.  Three lower bounds hold for every cover below a node, and a
+    node whose bound reaches the best cost is cut: it holds no subset
+    that could replace the best.  The first counts multiplicities, at
+    every node and at the root of each size: a chain holds one point
+    per column and the ``need`` lines take at most ``need`` open
+    columns, so the largest multiplicity of the passed-over columns and
+    the (need+1)-th largest of the open ones stay on chains.  The other
+    two count antichains, whose points need a chain each: the antichain
+    of the points off the lines, less its points on the ``need`` open
+    columns holding most of them, and the antichain of the passed-over
+    columns.  A subset is partitioned only when its size plus the
+    antichain of the points it leaves is below the best.  Graphs and
+    ranked chains pass no antichain, as the one known for them is the
+    most populated column.  For graphs the multiplicity bound is the
     cheapest cover below the node, so every node kept has a strictly
     better leaf below it and the search is polynomial.  Past
     ``MAX_SEARCH_NODES`` nodes the search raises ``SearchScaleError``.
@@ -471,19 +468,18 @@ def _best_lines(
     groups = _column_groups(pts)
     cols = sorted(groups)
     n = len(cols)
+    mults = [len(groups[c]) for c in cols]
+    by_size = sorted(mults, reverse=True) + [0]
     best_lines, best_chains = (), partition(pts)
     best, nodes = len(best_chains), 1
-    if best > 1:
-        mults = [len(groups[c]) for c in cols]
-        # by_size[i]: the multiplicities of cols[i:], largest first
-        by_size = [sorted(mults[i:], reverse=True) for i in range(n + 1)]
     for size in range(1, n + 1):
-        if size >= best:
-            break
+        if size + by_size[size] >= best:
+            continue
+        heavy = _heavy_counts(mults, best - size)
         # one frame per node being expanded: its lines, the next column to
         # take, and the largest multiplicity of the columns passed over
         frames = [[(), 0, 0]]
-        while frames:
+        while frames and size + by_size[size] < best:
             frame = frames[-1]
             lines, i, passed_mult = frame
             need = size - len(lines) - 1
@@ -499,24 +495,27 @@ def _best_lines(
                     f"covering search bound exceeded: {family}, {len(pts)} points"
                     f" in {n} columns, more than {MAX_SEARCH_NODES} nodes"
                 )
-            open_mults = by_size[i + 1]
-            kept_mult = open_mults[need] if need < len(open_mults) else 0
-            if size + max(passed_mult, kept_mult) >= best:
+            if passed_mult >= best - size or heavy[i + 1] > need:
                 continue
             lines += (cols[i],)
-            live = [p for p in pts if p[0] not in lines]
-            kept = antichain(live)
+            if need and antichain is None:
+                frames.append([lines, i + 1, passed_mult])
+                continue
+            line_set = set(lines)
+            live = [p for p in pts if p[0] not in line_set]
             if need == 0:
-                if size + len(kept) < best:
+                if antichain is None or size + len(antichain(live)) < best:
                     chains = partition(live)
                     if size + len(chains) < best:
                         best, best_lines, best_chains = size + len(chains), lines, chains
+                        heavy = _heavy_counts(mults, best - size)
                 continue
+            kept = antichain(live)
             on_open = Counter(p[0] for p in kept if p[0] > cols[i])
             takeable = sum(sorted(on_open.values(), reverse=True)[:need])
             if size + len(kept) - takeable >= best:
                 continue
-            passed = [p for c in cols[:i] if c not in lines for p in groups[c]]
+            passed = [p for c in cols[:i] if c not in line_set for p in groups[c]]
             if size + len(antichain(passed)) >= best:
                 # the later siblings pass over these columns and more
                 frames.pop()
@@ -533,9 +532,9 @@ def _best_lines(
 # partition also takes its rank map
 _FAMILIES = {
     "WR": (SPARSE_CHAIN, sparse_chain_partition, sparse_antichain),
-    "ED": (GRAPH, _graph_partition, column_antichain),
+    "ED": (GRAPH, _graph_partition, None),
     "EDup": (NONDECREASING_GRAPH, nondecreasing_chain_partition, nondecreasing_antichain),
-    "WRpi": (RANKED_CHAIN, _ranked_chain_partition, column_antichain),
+    "WRpi": (RANKED_CHAIN, _ranked_chain_partition, None),
 }
 
 
@@ -559,7 +558,8 @@ def phi(ideal, points) -> tuple[int, CoverCertificate]:
     Among minimum covers the certificate uses the fewest lines."""
     pts = canonical_points(points)
     kind, lines, chains = _solve(ideal, pts)
-    parts = [CoverPart(VERTICAL_LINE, tuple(p for p in pts if p[0] == c)) for c in sorted(lines)]
+    groups = _column_groups(pts)
+    parts = [CoverPart(VERTICAL_LINE, tuple(groups[c])) for c in sorted(lines)]
     parts.extend(CoverPart(kind, chain) for chain in chains)
     cert = CoverCertificate(tuple(parts))
     return cert.cost, cert

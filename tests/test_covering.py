@@ -33,7 +33,6 @@ from gridideals.covering import (
     RANKED_CHAIN,
     CoverCertificate,
     CoverPart,
-    column_antichain,
     nondecreasing_antichain,
     nondecreasing_chain_partition,
     part_is_valid,
@@ -427,32 +426,34 @@ def _staircases(width):
 
 def _reference_ed_certificate(pts):
     pts = canonical_points(pts)
-    lines = sorted(reference_ed_lines(pts))
-    parts = [CoverPart(VERTICAL_LINE, tuple(p for p in pts if p[0] == c)) for c in lines]
+    lines = set(reference_ed_lines(pts))
+    groups = covering._column_groups(pts)
+    parts = [CoverPart(VERTICAL_LINE, tuple(groups[c])) for c in sorted(lines)]
     rest = [p for p in pts if p[0] not in lines]
     parts.extend(CoverPart(GRAPH, chain) for chain in covering._graph_partition(rest))
     return CoverCertificate(tuple(parts))
 
 
-def test_ed_search_matches_the_closed_form():
+def test_ed_search_matches_the_closed_form(monkeypatch):
+    # without the root cut of each size a w-column staircase takes
+    # w(w+1)/2 nodes; the sets below need at most 201
+    monkeypatch.setattr(covering, "MAX_SEARCH_NODES", 1000)
     rng = random.Random(83)
     sets = _staircases(30) + _staircases(100)
     for _ in range(2000):
         side = rng.randint(1, 30)
         pool = [(c, r) for c in range(side) for r in range(rng.randint(1, 30))]
         sets.append(rng.sample(pool, min(len(pool), rng.randint(0, 200))))
+    pool = [(c, r) for c in range(60) for r in range(60)]
+    sets += [random.Random(f"ed-{seed}").sample(pool, 3000) for seed in range(3)]
+    # 19,999 columns with one doubled; a 100-step staircase padded to
+    # 10,200 columns; an optimum of 200 lines
+    sets.append([(c, 0) for c in range(19_999)] + [(0, 1)])
+    sets.append(_staircases(100)[1] + [(c, 0) for c in range(100, 10_200)])
+    sets.append([(c, r) for c in range(400) for r in range(250 if c % 2 else 1)])
     for pts in sets:
         cost, cert = phi(ED, pts)
         assert cert == _reference_ed_certificate(pts) and cost == cert.cost, pts
-
-
-def test_ed_search_stays_polynomial(monkeypatch):
-    monkeypatch.setattr(covering, "MAX_SEARCH_NODES", 20_000)
-    pool = [(c, r) for c in range(60) for r in range(60)]
-    sets = _staircases(100) + [random.Random(f"ed-{seed}").sample(pool, 3000) for seed in range(3)]
-    for pts in sets:
-        cost, cert = phi(ED, pts)
-        assert cert.validate(pts) and cost == _reference_ed_certificate(pts).cost
 
 
 def _pairwise_incomparable(before, pts):
@@ -471,17 +472,18 @@ def test_antichains_are_incomparable_and_as_large_as_the_partitions():
             assert set(found) <= set(pts) and len(set(found)) == len(found)
             assert _pairwise_incomparable(before, found), (antichain.__name__, pts)
             assert len(found) == len(partition(pts)), (antichain.__name__, pts)
-        found = column_antichain(pts)
-        assert set(found) <= set(pts)
-        assert len(found) == max((sum(p[0] == c for p in pts) for c, _ in pts), default=0)
-        assert len(found) == len(covering._graph_partition(pts))
+        # graphs and ranked chains pass no antichain to the line search: the
+        # most populated column is one for every rank map, and for graphs it
+        # is as large as the partition
+        column = max(covering._column_groups(pts).values(), key=len, default=[])
+        assert len(column) == len(covering._graph_partition(pts))
         for rank in RANK_CATALOG.values():
-            assert _pairwise_incomparable(ranked(rank), found)
+            assert _pairwise_incomparable(ranked(rank), column)
 
 
 _FAMILY_ROUTINES = {
     "WR": (sparse_chain_partition, sparse_antichain),
-    "ED": (covering._graph_partition, column_antichain),
+    "ED": (covering._graph_partition, None),
     "EDup": (nondecreasing_chain_partition, nondecreasing_antichain),
 }
 
@@ -507,7 +509,7 @@ def test_ranked_line_search_matches_enumeration(rank_name, pts):
     pts = tuple(sorted(pts))
     rank = RANK_CATALOG[rank_name]
     partition = partial(covering._ranked_chain_partition, rank=rank)
-    got = covering._best_lines(pts, partition, column_antichain, "WRpi")
+    got = covering._best_lines(pts, partition, None, "WRpi")
     assert got == reference_best_lines(pts, partition)
 
 
