@@ -320,8 +320,6 @@ def _verify_map(name: str, window: int) -> list[str]:
 def _cmd_game(args) -> int:
     from . import game
 
-    if args.rounds < 0:
-        raise CliError("--rounds must be nonnegative")
     ideal = _ideal_from_args(args)
     if args.opponent == "random":
         opponent = game.random_opponent(args.seed)

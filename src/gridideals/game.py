@@ -253,8 +253,8 @@ def play(
     seed: int | None = None,
 ) -> GameState:
     """Run a legality-checked match and return the transcript state."""
-    if rounds > MAX_ROUNDS:
-        raise ValueError(f"rounds must be at most {MAX_ROUNDS}")
+    if not 0 <= rounds <= MAX_ROUNDS:
+        raise ValueError(f"rounds must be from 0 to {MAX_ROUNDS}, not {rounds}")
     state = GameState(presentation, seed=seed)
     for n in range(rounds):
         blocked = player_one(state)

@@ -37,35 +37,7 @@ class SetDescriptor(NamedTuple):
     def build(columns=(), tails=(), points=()) -> "SetDescriptor":
         """The canonical descriptor of the given whole columns (column
         numbers, not runs), tails (column, first row) and points."""
-        cols = set(columns)
-        tail_map: dict[int, int] = {}
-        for c, start in tails:
-            if start <= 0:
-                cols.add(c)
-            else:
-                prev = tail_map.get(c)
-                tail_map[c] = start if prev is None else min(prev, start)
-        pts = set(points)
-        for c in list(tail_map):
-            if c in cols:
-                del tail_map[c]
-                continue
-            start = tail_map[c]
-            while (c, start - 1) in pts:
-                pts.discard((c, start - 1))
-                start -= 1
-            if start <= 0:
-                cols.add(c)
-                del tail_map[c]
-            else:
-                tail_map[c] = start
-        pts = {
-            p
-            for p in pts
-            if p[0] not in cols
-            and not (p[0] in tail_map and p[1] >= tail_map[p[0]])
-        }
-        return SetDescriptor(_runs(cols), tuple(sorted(tail_map.items())), frozenset(pts))
+        return _canonical(((c, c) for c in columns), tails, points)
 
     def contains(self, p: Point) -> bool:
         # the first run is tried before any search: a blocking wall is
@@ -92,45 +64,38 @@ class SetDescriptor(NamedTuple):
                 return True
         return p in self.points
 
-    def _column_set(self) -> set[int]:
-        """The whole columns, one by one."""
-        return {c for first, last in self.columns for c in range(first, last + 1)}
-
     def union(self, other: "SetDescriptor") -> "SetDescriptor":
-        return SetDescriptor.build(
-            self._column_set() | other._column_set(),
-            self.tails + other.tails,
-            self.points | other.points,
+        return _canonical(
+            self.columns + other.columns, self.tails + other.tails, self.points | other.points
         )
 
     __or__ = union
 
     def intersect(self, other: "SetDescriptor") -> "SetDescriptor":
-        cols1, cols2 = self._column_set(), other._column_set()
-        t1 = dict(self.tails)
-        t2 = dict(other.tails)
-        tails = []
-        for c in cols1:
-            if c in t2:
-                tails.append((c, t2[c]))
-        for c in cols2:
-            if c in t1:
-                tails.append((c, t1[c]))
-        for c, s in t1.items():
-            if c in t2:
-                tails.append((c, max(s, t2[c])))
+        # the overlaps of two sorted run lists, swept with one pointer each
+        a, b = self.columns, other.columns
+        runs = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            first, last = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
+            if first <= last:
+                runs.append((first, last))
+            if a[i][1] < b[j][1]:
+                i += 1
+            else:
+                j += 1
+        starts = dict(other.tails)
+        tails = [t for t in self.tails if _on_run(b, t[0])]
+        tails += [t for t in other.tails if _on_run(a, t[0])]
+        tails += [(c, max(s, starts[c])) for c, s in self.tails if c in starts]
         pts = {p for p in self.points if other.contains(p)}
         pts |= {p for p in other.points if self.contains(p)}
-        return SetDescriptor.build(cols1 & cols2, tails, pts)
+        return _canonical(runs, tails, pts)
 
     __and__ = intersect
 
     def is_finite(self) -> bool:
         return not self.columns and not self.tails
-
-    def infinite_columns(self) -> tuple[int, ...]:
-        """Columns the denoted set meets infinitely often."""
-        return tuple(sorted(self._column_set() | {c for c, _ in self.tails}))
 
     def to_json(self) -> dict:
         return {
@@ -141,27 +106,49 @@ class SetDescriptor(NamedTuple):
 
     @staticmethod
     def from_json(obj: dict) -> "SetDescriptor":
-        cols = []
-        for first, last in obj.get("columns", ()):
+        runs = [tuple(run) for run in obj.get("columns", ())]
+        for first, last in runs:
             if last < first:
                 raise ValueError(f"column run [{first}, {last}] ends before it starts")
-            cols.extend(range(first, last + 1))
-        return SetDescriptor.build(
-            cols,
+        return _canonical(
+            runs,
             [tuple(t) for t in obj.get("tails", ())],
             [tuple(p) for p in obj.get("points", ())],
         )
 
 
-def _runs(cols) -> tuple[tuple[int, int], ...]:
-    """The maximal runs of consecutive columns in a set of columns."""
-    runs: list[tuple[int, int]] = []
-    for c in sorted(cols):
-        if runs and runs[-1][1] == c - 1:
-            runs[-1] = (runs[-1][0], c)
-        else:
+def _on_run(runs, c: int) -> bool:
+    """Whether column c lies on one of the sorted, disjoint runs."""
+    k = bisect_left(runs, c, key=itemgetter(1))  # the first run not wholly before c
+    return k < len(runs) and runs[k][0] <= c
+
+
+def _canonical(runs, tails, points) -> SetDescriptor:
+    """The canonical descriptor (see SetDescriptor) of column runs
+    (first, last), tails (column, first row) and points, in
+    O(atoms log atoms): no run is expanded into its columns."""
+    pts = frozenset(points)
+    lowest: dict[int, int] = {}
+    for c, start in tails:
+        lowest[c] = min(start, lowest.get(c, start))
+    runs = list(runs)
+    for c, start in lowest.items():
+        while start > 0 and (c, start - 1) in pts:
+            start -= 1
+        lowest[c] = start
+        if start <= 0:
             runs.append((c, c))
-    return tuple(runs)
+    merged: list[tuple[int, int]] = []
+    for first, last in sorted(runs):
+        if merged and first <= merged[-1][1] + 1:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], last))
+        else:
+            merged.append((first, last))
+    kept = {c: s for c, s in sorted(lowest.items()) if s > 0 and not _on_run(merged, c)}
+    pts = frozenset(
+        (c, r) for c, r in pts if not _on_run(merged, c) and not (c in kept and r >= kept[c])
+    )
+    return SetDescriptor(tuple(merged), tuple(kept.items()), pts)
 
 
 def empty_set() -> SetDescriptor:
@@ -261,13 +248,16 @@ def split_by_parity(d: SetDescriptor) -> tuple[SetDescriptor, SetDescriptor]:
     carrying the left component and odd ones the right.
     """
     sides: tuple = (([], [], []), ([], [], []))
-    for c in d._column_set():
-        sides[c % 2][0].append(c // 2)
+    for first, last in d.columns:
+        # the even columns 2k of a run, then its odd columns 2k + 1
+        for side, lo, hi in ((0, (first + 1) // 2, last // 2), (1, first // 2, (last - 1) // 2)):
+            if lo <= hi:
+                sides[side][0].append((lo, hi))
     for c, s in d.tails:
         sides[c % 2][1].append((c // 2, s))
     for c, r in d.points:
         sides[c % 2][2].append((c // 2, r))
-    return tuple(SetDescriptor.build(*part) for part in sides)
+    return tuple(_canonical(*part) for part in sides)
 
 
 _ALWAYS_CONTAIN = {"WR", "WRpi", "ED", "EDup", "FinxFin"}
@@ -326,11 +316,16 @@ def dense_subset(
         return ()
 
     if isinstance(universe, SetDescriptor):
-        candidates = [c for c in universe.infinite_columns() if c >= min_col]
-        if not candidates:
+        # the first column met infinitely often at or after min_col: the
+        # first run reaching min_col, or the first tail there
+        runs, tails = universe.columns, universe.tails
+        k = bisect_left(runs, min_col, key=itemgetter(1))
+        t = bisect_left(tails, (min_col,))
+        firsts = [(max(runs[k][0], min_col), 0)] if k < len(runs) else []
+        firsts += tails[t : t + 1]
+        if not firsts:
             raise ValueError("finite input set")
-        c = min(candidates)
-        start = dict(universe.tails).get(c, 0)
+        c, start = min(firsts)
         return tuple((c, start + i) for i in range(n))
 
     member: Callable[[Point], bool] = universe

@@ -378,6 +378,33 @@ def test_mon_extract_past_the_digit_cap_is_a_json_error():
     })
 
 
+_INCREASING = (
+    '"indices": [2, 8, 16, 26, 38], "points": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]], '
+    '"witnesses": [{"level": 0, "points": [[0, 1]]}, {"level": 1, "points": [[1, 2], [2, 3]]}, '
+    '{"level": 2, "points": [[2, 3], [3, 4], [4, 5]]}]}\n'
+)
+_DECREASING = '{"case": "constant-terms-increasing-dual", "direction": "decreasing", ' + _INCREASING
+
+
+@pytest.mark.parametrize(
+    "column, expected",
+    [
+        ({"mode": "nondecreasing", "limit": "inf", "style": "linear"},
+         (0, '{"case": "constant-terms-increasing", "direction": "increasing", ' + _INCREASING)),
+        ({"mode": "nonincreasing", "limit": "-inf", "style": "linear"}, (0, _DECREASING)),
+        ({"mode": "nonincreasing", "limit": "1/2"}, (0, _DECREASING)),
+        ({"mode": "nondecreasing", "limit": "1", "style": "linear"},
+         (1, '{"error": "descriptor invalid: column 0 breaks its declared nondecreasing shape"}\n')),
+    ],
+    ids=["linear-nondecreasing", "linear-nonincreasing", "approach-nonincreasing",
+         "linear-finite-limit"],
+)
+def test_mon_extract_term_rules(column, expected):
+    # the term rules of cli._column_from_json that the other inputs leave idle
+    argv = ["mon", "extract", "--target-len", "5", "--level", "2"]
+    assert run_cli(argv, json.dumps({"columns": [column] * 9})) == expected
+
+
 def test_mon_has_no_map_flag():
     # wedge-zigzag is the one enumeration; argparse refuses the removed flag
     for argv in (["mon", "extract", "--target-len", "1"], ["mon", "verify"]):

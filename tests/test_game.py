@@ -135,6 +135,14 @@ def test_rounds_past_the_cap_are_refused():
     assert play(WR, empty_strategy, least_lex_opponent, game.MAX_ROUNDS).round == game.MAX_ROUNDS
 
 
+@pytest.mark.parametrize("rounds", [-1, -3])
+def test_negative_rounds_are_refused(rounds):
+    with pytest.raises(ValueError) as caught:
+        play(WR, blocking_strategy(), least_lex_opponent, rounds)
+    assert str(caught.value) == f"rounds must be from 0 to 400, not {rounds}"
+    assert play(WR, blocking_strategy(), least_lex_opponent, 0).round == 0
+
+
 def test_unsupported_strategy_family():
     # round 0 blocks nothing, so the family is only interrogated afterwards
     with pytest.raises(GameError):
