@@ -30,9 +30,8 @@ _EXPORTS = {
         """,
         "gridmaps": """
             DIAG_RANK MAX_RANK OFFSET_RANK RANK_CATALOG SKEW_RANK WEDGE_ZIGZAG
-            IndexPointMap PartitionEmbedding PartitionWitness RankMap adversarial_value
-            antidiagonal_height dyadic_partition jumping_condition partition_from_labels
-            partition_to_embedding triangle_fold triangle_unfold
+            IndexPointMap PartitionEmbedding RankMap adversarial_value antidiagonal_height
+            dyadic_class jumping_condition partition_to_embedding triangle_fold triangle_unfold
             validate_rank_map wedge_class_level wedge_zigzag_index wedge_zigzag_point
         """,
         "monotone": """

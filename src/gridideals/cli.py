@@ -39,6 +39,9 @@ MAX_INT_DIGITS = 4300
 # 2v + 1 preimages of value v, so one call lists at most 200,000 points
 MAX_RANK_SUM = 100_000
 
+# the widest `map verify` window; a rank map check scans (window + 32)^2 points
+MAX_VERIFY_WINDOW = 256
+
 # the input contract: each payload is checked against its file in schemas/
 _SCHEMAS = os.path.join(os.path.dirname(__file__), "schemas")
 # JSON decodes to exactly these classes, so `type(x) is int` also refuses bool
@@ -126,14 +129,28 @@ def _read_points(path: str | None) -> tuple:
     return tuple(map(tuple, _read_payload(path, "points")))
 
 
-def _ideal_from_args(args) -> presentations.IdealPresentation:
-    from . import gridmaps, presentations
+def _rank_from_args(args, needed_by: str = ""):
+    """The catalog rank map --rank names, or None when it is absent and
+    nothing needs it; an unknown or missing name is refused with the
+    catalog listed."""
+    from . import gridmaps
 
+    names = sorted(gridmaps.RANK_CATALOG)
+    if args.rank is None:
+        if needed_by:
+            raise CliError(f"{needed_by} needs --rank, one of {names}")
+        return None
+    if args.rank not in gridmaps.RANK_CATALOG:
+        raise CliError(f"unknown rank map {args.rank!r}; choose from {names}")
+    return gridmaps.RANK_CATALOG[args.rank]
+
+
+def _ideal_from_args(args) -> presentations.IdealPresentation:
+    from . import presentations
+
+    rank = _rank_from_args(args, "WRpi" if args.ideal == "WRpi" else "")
     if args.ideal != "WRpi":
         return {"WR": presentations.WR, "ED": presentations.ED, "EDup": presentations.EDUP}[args.ideal]
-    rank = gridmaps.RANK_CATALOG.get(args.rank or "")
-    if rank is None:
-        raise CliError(f"WRpi needs --rank, one of {sorted(gridmaps.RANK_CATALOG)}")
     return presentations.wr_pi(rank)
 
 
@@ -216,15 +233,13 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from . import covering, gridmaps
+    from . import covering
 
     kinds = tuple(k.strip() for k in args.kinds.split(","))
     for k in kinds:
         if k not in covering.KINDS:
             raise CliError(f"unknown kind {k!r}; choose from {covering.KINDS}")
-    rank = gridmaps.RANK_CATALOG.get(args.rank) if args.rank else None
-    if covering.RANKED_CHAIN in kinds and rank is None:
-        raise CliError("ranked-chain covers need --rank")
+    rank = _rank_from_args(args, "a ranked-chain cover" if covering.RANKED_CHAIN in kinds else "")
     pts = _read_points(args.input)
     cert = covering.brute_force_cover(pts, kinds, rank=rank)
     _emit({"cost": cert.cost, "parts": cert.to_json()["parts"]})
@@ -236,10 +251,8 @@ def _cmd_map(args) -> int:
 
     name = args.name
     if args.map_cmd == "verify":
-        from .transfer import MAX_WINDOW
-
-        if not 1 <= args.window <= MAX_WINDOW:
-            raise CliError(f"--window must be between 1 and {MAX_WINDOW}")
+        if not 1 <= args.window <= MAX_VERIFY_WINDOW:
+            raise CliError(f"--window must be between 1 and {MAX_VERIFY_WINDOW}")
         failures = _verify_map(name, args.window)
         _emit({"name": name, "ok": not failures, "failures": failures})
         return 2 if failures else 0

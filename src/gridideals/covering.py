@@ -37,7 +37,6 @@ from .grid import (
     canonical_points,
     graph_before,
     is_chain,
-    is_ranked_chain,
     longest_increasing,
     nondecreasing_before,
     ranked,
@@ -425,7 +424,7 @@ def nondecreasing_antichain(pts) -> list[Point]:
 def _ranked_chain_partition(pts, rank) -> list[tuple[Point, ...]]:
     """Minimum partition of canonical points into ranked chains: by the
     oracle, except that a set which is one chain needs no search."""
-    if pts and is_ranked_chain(rank, pts):
+    if pts and is_chain(ranked(rank), pts):
         return [tuple(pts)]
     return [part.members for part in brute_force_cover(pts, (RANKED_CHAIN,), rank=rank).parts]
 

@@ -208,191 +208,89 @@ def adversarial_value(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# partitions of the naturals and their grid embeddings
+# partitions of the naturals, each given by its class function (a finite
+# table of labels is labels.__getitem__), and their grid embeddings
 
 
-class PartitionWitness(NamedTuple):
-    """A partition of the naturals into indexed classes, each enumerated
-    increasingly."""
-
-    class_of: Callable[[int], int]
-    nth_of_class: Callable[[int, int], int]
-    rank_of: Callable[[int], int]
-    all_infinite: bool = True
-    name: str = "partition"
-
-    def validate(self, window: int) -> None:
-        for m in range(window):
-            c = self.class_of(m)
-            r = self.rank_of(m)
-            if self.nth_of_class(c, r) != m:
-                raise ValueError(f"class enumeration inconsistent at {m}")
-            if r > 0 and self.nth_of_class(c, r - 1) >= m:
-                raise ValueError(f"class {c} enumeration is not increasing at {m}")
+def dyadic_class(m: int) -> int:
+    """Class of m in the dyadic partition, the 2-adic valuation of m + 1;
+    every class is infinite."""
+    return ((m + 1) & -(m + 1)).bit_length() - 1
 
 
-def dyadic_partition() -> PartitionWitness:
-    """Classes by the dyadic valuation of n+1; every class is infinite."""
+class PartitionEmbedding(NamedTuple):
+    """Injection of the indices below the window into the grid whose
+    column fibers pull back to the partition classes, together with a
+    point enumeration that makes the target a ranked presentation.
 
-    def class_of(m: int) -> int:
-        c = 0
-        x = m + 1
-        while x % 2 == 0:
-            x //= 2
-            c += 1
-        return c
-
-    def nth(c: int, k: int) -> int:
-        return (2 ** c) * (2 * k + 1) - 1
-
-    def rank_of(m: int) -> int:
-        return (((m + 1) >> class_of(m)) - 1) // 2
-
-    return PartitionWitness(class_of, nth, rank_of, True, "dyadic")
-
-
-def partition_from_labels(labels: Iterable[int], name: str = "table") -> PartitionWitness:
-    """Partition of an initial segment given by explicit class labels."""
-    labels = list(labels)
-    classes: dict[int, list[int]] = {}
-    ranks: dict[int, int] = {}
-    for m, c in enumerate(labels):
-        members = classes.setdefault(c, [])
-        ranks[m] = len(members)
-        members.append(m)
-
-    def class_of(m: int) -> int:
-        try:
-            return labels[m]
-        except IndexError:
-            raise ValueError(f"{m} is beyond the labeled window") from None
-
-    def nth(c: int, k: int) -> int:
-        members = classes.get(c, ())
-        if k >= len(members):
-            raise ValueError(f"class {c} has no element of rank {k} in the window")
-        return members[k]
-
-    def rank_of(m: int) -> int:
-        return ranks[m]
-
-    return PartitionWitness(class_of, nth, rank_of, False, name)
-
-
-class PartitionEmbedding:
-    """Injection of the naturals into the grid whose column fibers pull
-    back to the partition classes, together with a point enumeration that
-    makes the target a ranked presentation.
-
-    Immutable and compared by value; the three lookup tables are left out
-    of the repr, and being dicts they leave the embedding unhashable.
+    points sends each index to its point and indices inverts it; odd_rank
+    numbers the points off the image near it.  The repr leaves the three
+    tables out, and being dicts they leave the embedding unhashable.
     """
 
-    __slots__ = ("witness", "window", "mode", "_table", "_inverse", "_odd_rank")
-    __hash__ = None
-
-    def __init__(
-        self,
-        witness: PartitionWitness,
-        window: int,
-        mode: str,
-        _table: dict[int, Point] | None = None,
-        _inverse: dict[Point, int] | None = None,
-        _odd_rank: dict[Point, int] | None = None,
-    ):
-        tables = ({} if t is None else t for t in (_table, _inverse, _odd_rank))
-        for name, value in zip(self.__slots__, (witness, window, mode, *tables)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    class_of: Callable[[int], int]
+    window: int
+    points: dict[int, Point]
+    indices: dict[Point, int]
+    odd_rank: dict[Point, int]
 
     def __repr__(self) -> str:
-        return (
-            f"PartitionEmbedding(witness={self.witness!r}, window={self.window!r}, "
-            f"mode={self.mode!r})"
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+        return f"PartitionEmbedding(class_of={self.class_of!r}, window={self.window!r})"
 
     def to_point(self, m: int) -> Point:
         try:
-            return self._table[m]
+            return self.points[m]
         except KeyError:
             raise ValueError(f"{m} is beyond the embedding window") from None
 
     def to_index(self, p: Point) -> int | None:
-        return self._inverse.get(p)
+        return self.indices.get(p)
 
     def point_rank(self, p: Point) -> int:
-        """Enumeration position of a point.
-
-        In general mode the image of index m sits at position 2m and the
-        remaining points take odd positions in diagonal order; in
-        bijection mode the position is the class member itself.
-        """
-        if self.mode == "bijection":
-            return self.witness.nth_of_class(p[0], p[1])
-        m = self._inverse.get(p)
+        """Enumeration position of a point: the image of index m sits at
+        position 2m, and the remaining points take odd positions in
+        diagonal order."""
+        m = self.indices.get(p)
         if m is not None:
             return 2 * m
         try:
-            return self._odd_rank[p]
+            return self.odd_rank[p]
         except KeyError:
             raise ValueError(f"{p} is outside the prepared point window") from None
 
     def fiber(self, col: int) -> tuple[int, ...]:
-        return tuple(sorted(m for m, p in self._table.items() if p[0] == col))
+        return tuple(m for m, p in self.points.items() if p[0] == col)
 
 
-def partition_to_embedding(
-    witness: PartitionWitness, window: int, mode: str = "general"
-) -> PartitionEmbedding:
-    """Embed each class into its own column.
+def partition_to_embedding(class_of: Callable[[int], int], window: int) -> PartitionEmbedding:
+    """Embed each class of the partition class_of into its own column.
 
-    The general mode sends the k-th member of class n to (n, k+1), so the
-    image meets every column in a proper subset; the bijection mode (for
-    all-infinite partitions) uses (n, k) and enumerates points by class
-    membership itself.
+    The k-th member of class n goes to (n, k+1), so the image meets every
+    column in a proper subset.  Raises ValueError for a class that is not
+    a nonnegative int.
     """
-    if mode not in ("general", "bijection"):
-        raise ValueError(f"unknown embedding mode: {mode!r}")
-    if mode == "bijection" and not witness.all_infinite:
-        raise ValueError("bijection mode needs all classes infinite")
-    witness.validate(window)
-    shift = 1 if mode == "general" else 0
-    table = {}
-    inverse = {}
+    points: dict[int, Point] = {}
+    counts: dict[int, int] = {}
     for m in range(window):
-        p = (witness.class_of(m), witness.rank_of(m) + shift)
-        table[m] = p
-        inverse[p] = m
-    odd_rank: dict[Point, int] = {}
-    if mode == "general":
-        max_col = max((p[0] for p in inverse), default=0)
-        pool = [
-            (c, r)
-            for c in range(max_col + 2)
-            for r in range(window + 2)
-            if (c, r) not in inverse
-        ]
-        pool.sort(key=lambda p: (p[0] + p[1], p[0]))
-        for t, p in enumerate(pool):
-            odd_rank[p] = 2 * t + 1
-    return PartitionEmbedding(witness, window, mode, table, inverse, odd_rank)
+        n = class_of(m)
+        if type(n) is not int or n < 0:
+            raise ValueError(f"the class of {m} must be a nonnegative int, not {n!r}")
+        counts[n] = counts.get(n, 0) + 1
+        points[m] = (n, counts[n])
+    indices = {p: m for m, p in points.items()}
+    pool = [
+        (c, r)
+        for c in range(max(counts, default=0) + 2)
+        for r in range(window + 2)
+        if (c, r) not in indices
+    ]
+    pool.sort(key=lambda p: (p[0] + p[1], p[0]))
+    odd_rank = {p: 2 * t + 1 for t, p in enumerate(pool)}
+    return PartitionEmbedding(class_of, window, points, indices, odd_rank)
 
 
-def jumping_condition(witness: PartitionWitness, indices: Iterable[int]) -> bool:
+def jumping_condition(class_of: Callable[[int], int], indices: Iterable[int]) -> bool:
     """After dropping the least element, successive indices must land in
     classes indexed above their predecessor."""
     h = sorted(indices)[1:]
-    for a, b in zip(h, h[1:]):
-        if b <= a or witness.class_of(b) <= a:
-            return False
-    return True
+    return all(a < b and class_of(b) > a for a, b in zip(h, h[1:]))

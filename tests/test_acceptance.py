@@ -22,13 +22,12 @@ from gridideals import (
     build_chain_transfer,
     coloring_to_tree,
     descriptor_in_ideal,
-    dyadic_partition,
+    dyadic_class,
     extract_mon,
     is_ranked_chain,
     is_sparse_chain,
     jumping_condition,
     oracle_cover_cost,
-    partition_from_labels,
     partition_to_embedding,
     phi_cost,
     play,
@@ -192,26 +191,26 @@ def _embedding_chain(emb, rng, window):
 def test_criterion_7_partition_embeddings():
     rng = random.Random(707)
     window = 64
-    witnesses = [dyadic_partition()]
-    for name in ("random-a", "random-b"):
+    partitions = [dyadic_class]
+    for _ in range(2):
         labels = [rng.randint(0, 11) for _ in range(window)]
-        witnesses.append(partition_from_labels(labels, name))
+        partitions.append(labels.__getitem__)
     total = 0
-    for witness in witnesses:
-        emb = partition_to_embedding(witness, window)
+    for class_of in partitions:
+        emb = partition_to_embedding(class_of, window)
         fibers: dict = {}
         for m in range(window):
             p = emb.to_point(m)
-            assert p[0] == witness.class_of(m)
+            assert p[0] == class_of(m)
             assert emb.to_index(p) == m
             fibers.setdefault(p[0], []).append(m)
         for col, members in fibers.items():
             assert tuple(members) == emb.fiber(col)
-            assert members == [m for m in range(window) if witness.class_of(m) == col]
+            assert members == [m for m in range(window) if class_of(m) == col]
         for _ in range(50):
             chain = _embedding_chain(emb, rng, window)
             indices = sorted(emb.to_index(p) for p in chain)
-            assert jumping_condition(witness, indices)
+            assert jumping_condition(class_of, indices)
             total += 1
     _report(7, f"fibers match the classes exactly; {total} sampled chains jump correctly")
 

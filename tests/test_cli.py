@@ -26,6 +26,29 @@ def test_phi_wrpi_needs_rank():
     assert code == 0 and json.loads(out)["phi"] == 1
 
 
+RANKS = "['diag-rank', 'max-rank', 'offset-rank', 'skew-rank']"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["phi", "--ideal", "WRpi", "--rank", "nosuch"], f"unknown rank map 'nosuch'; choose from {RANKS}"),
+        (["phi", "--ideal", "WR", "--rank", "nosuch"], f"unknown rank map 'nosuch'; choose from {RANKS}"),
+        (["oracle", "cover", "--kinds", "sparse-chain", "--rank", "nosuch"],
+         f"unknown rank map 'nosuch'; choose from {RANKS}"),
+        (["oracle", "cover", "--kinds", "ranked-chain", "--rank", "nosuch"],
+         f"unknown rank map 'nosuch'; choose from {RANKS}"),
+        (["oracle", "cover", "--kinds", "ranked-chain"], f"a ranked-chain cover needs --rank, one of {RANKS}"),
+        (["game", "play", "--rank", "nosuch"], f"unknown rank map 'nosuch'; choose from {RANKS}"),
+        (["game", "play", "--ideal", "WRpi"], f"WRpi needs --rank, one of {RANKS}"),
+    ],
+    ids=["phi-WRpi", "phi-WR", "oracle-sparse-chain", "oracle-ranked-chain", "oracle-no-rank",
+         "game-WR", "game-no-rank"],
+)
+def test_rank_names_are_checked(argv, error):
+    assert run_cli(argv, "[[0,1],[2,3]]") == (1, json.dumps({"error": error}) + "\n")
+
+
 def test_witness_exit_codes():
     code, out = run_cli(["witness"], "[[0,0],[1,0]]")
     assert code == 2 and json.loads(out) == {"witness": None}
@@ -164,7 +187,7 @@ def test_non_natural_inputs_rejected(argv, payload):
     [
         ["map", "verify", "--name", "triangle-fold", "--window", "-5"],
         ["map", "verify", "--name", "wedge-zigzag", "--window", "0"],
-        ["map", "verify", "--name", "diag-rank", "--window", str(transfer.MAX_WINDOW + 1)],
+        ["map", "verify", "--name", "diag-rank", "--window", str(cli.MAX_VERIFY_WINDOW + 1)],
         ["game", "play", "--rounds", "-3"],
         ["game", "play", "--rounds", str(game.MAX_ROUNDS + 1)],
         ["sigma", "build", "--pi", "diag-rank", "--pi0", "max-rank", "--window", "0"],
@@ -490,6 +513,7 @@ FRESH_JOBS = {
     "witness": (["witness"], "[[0,5],[1,4],[2,3]]"),
     "oracle": (["oracle", "cover", "--kinds", "vertical-line,sparse-chain"], "[[0,5],[1,4]]"),
     "map": (["map", "invert", "--name", "max-rank"], "[0,3]"),
+    "map verify": (["map", "verify", "--name", "triangle-fold", "--window", "8"], ""),
     "game": (["game", "play", "--rounds", "5", "--seed", "3"], ""),
     "mon": _mon_extract(_mon_column(), {"mode": "nondecreasing", "limit": "1"}),
     "sigma": (["sigma", "build", "--pi", "max-rank", "--pi0", "skew-rank", "--window", "6"], ""),
@@ -522,6 +546,7 @@ def test_fresh_process_cli():
         assert name == "mon" or "fractions" not in modules, name
     assert "fractions" in loaded["mon"] | startup
     assert not loaded["phi"] & {"gridideals.game", "gridideals.monotone", "gridideals.transfer"}
+    assert "gridideals.transfer" not in loaded["map verify"]
 
 
 def test_package_names_follow_their_module(monkeypatch):

@@ -10,9 +10,8 @@ from gridideals import (
     SKEW_RANK,
     adversarial_value,
     antidiagonal_height,
-    dyadic_partition,
+    dyadic_class,
     jumping_condition,
-    partition_from_labels,
     partition_to_embedding,
     phi_cost,
     triangle_fold,
@@ -109,49 +108,44 @@ def test_adversarial_classes_decrease_within_band():
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_dyadic_partition_validates():
-    w = dyadic_partition()
-    w.validate(256)
-    assert [w.class_of(m) for m in range(8)] == [0, 1, 0, 2, 0, 1, 0, 3]
-
-
-def test_partition_from_labels():
-    w = partition_from_labels([0, 1, 0, 1, 2, 0])
-    w.validate(6)
-    assert w.nth_of_class(0, 2) == 5
-    with pytest.raises(ValueError):
-        w.nth_of_class(2, 1)
-    with pytest.raises(ValueError):
-        w.class_of(6)
+def test_dyadic_class():
+    assert [dyadic_class(m) for m in range(8)] == [0, 1, 0, 2, 0, 1, 0, 3]
+    for m in range(256):
+        n = dyadic_class(m)
+        assert (m + 1) % 2**n == 0 and (m + 1) % 2 ** (n + 1) != 0
 
 
 def test_partition_embedding_examples():
-    w = dyadic_partition()
-    emb = partition_to_embedding(w, 64)
+    emb = partition_to_embedding(dyadic_class, 64)
     assert emb.to_point(0) == (0, 1)
     assert emb.to_point(1) == (1, 1)
     assert emb.to_point(2) == (0, 2)
     # image avoids row 0, so fibers are proper subsets of their columns
     assert all(emb.to_point(m)[1] >= 1 for m in range(64))
     for m in range(64):
-        assert emb.to_point(m)[0] == w.class_of(m)
+        assert emb.to_point(m)[0] == dyadic_class(m)
         assert emb.to_index(emb.to_point(m)) == m
     # enumeration position doubles the index on the image, odd elsewhere
     assert emb.point_rank(emb.to_point(5)) == 10
     assert emb.point_rank((0, 0)) % 2 == 1
+    with pytest.raises(ValueError):
+        emb.to_point(64)
 
 
-def test_partition_embedding_bijection_mode():
-    w = dyadic_partition()
-    emb = partition_to_embedding(w, 64, mode="bijection")
-    for m in range(64):
-        p = emb.to_point(m)
-        assert p == (w.class_of(m), w.rank_of(m))
-        assert emb.point_rank(p) == m
+def test_partition_embedding_of_labels():
+    labels = [0, 1, 0, 1, 2, 0]
+    emb = partition_to_embedding(labels.__getitem__, 6)
+    # the k-th member of class n sits at (n, k+1)
+    assert [emb.to_point(m) for m in range(6)] == [(0, 1), (1, 1), (0, 2), (1, 2), (2, 1), (0, 3)]
+    assert emb.fiber(0) == (0, 2, 5) and emb.fiber(3) == ()
+    with pytest.raises(IndexError):
+        partition_to_embedding(labels.__getitem__, 7)
+    for bad in ([0, -1], [0, 1.0], [True]):
+        with pytest.raises(ValueError, match="must be a nonnegative int"):
+            partition_to_embedding(bad.__getitem__, len(bad))
 
 
 def test_jumping_condition():
-    w = dyadic_partition()
-    assert jumping_condition(w, [0, 1, 3, 63])
-    assert jumping_condition(w, [5])
-    assert not jumping_condition(w, [0, 1, 2])  # class of 2 is 0, not above 1
+    assert jumping_condition(dyadic_class, [0, 1, 3, 63])
+    assert jumping_condition(dyadic_class, [5])
+    assert not jumping_condition(dyadic_class, [0, 1, 2])  # class of 2 is 0, not above 1

@@ -12,7 +12,7 @@ from gridideals import (
     FIN,
     FIN_X_FIN,
     WR,
-    DIAG_RANK,
+    RANK_CATALOG,
     IdealError,
     SetDescriptor,
     column,
@@ -22,6 +22,7 @@ from gridideals import (
     direct_sum,
     empty_set,
     finite_points,
+    is_ranked_chain,
     is_sparse_chain,
     pick_outside,
     restrict,
@@ -125,19 +126,23 @@ def test_dense_subset_examples():
 
 
 def test_dense_subset_lands_in_one_generator():
-    rng = random.Random(13)
     rules = [
         lambda p: p[1] == 0,
         lambda p: p[0] == p[1],
         lambda p: (p[0] + p[1]) % 3 == 0,
         lambda p: p == (0, 1) or p[0] >= 1,
+        lambda p: p[1] % 2 == 0,
     ]
     for rule in rules:
         pts = dense_subset(WR, rule, 5)
         assert all(rule(p) for p in pts)
         assert is_sparse_chain(pts) or len({p[0] for p in pts}) == 1
-    pts = dense_subset(wr_pi(DIAG_RANK), lambda p: p[1] % 2 == 0, 5)
-    assert is_sparse_chain(pts) or len({p[0] for p in pts}) == 1
+        # a WRpi subset is one ranked chain, which need not be sparse: under
+        # max-rank the diagonal rule gives (0, 0), (1, 1), ..., (4, 4)
+        for rank in RANK_CATALOG.values():
+            pts = dense_subset(wr_pi(rank), rule, 5)
+            assert all(rule(p) for p in pts)
+            assert is_ranked_chain(rank, pts), (rank.name, pts)
 
 
 def test_dense_subset_prefix_property():

@@ -10,10 +10,6 @@ import pytest
 from gridideals import covering, game, gridmaps, monotone, presentations, transfer
 
 
-# one partition, so that two calls of _records build equal records
-_DYADIC = gridmaps.dyadic_partition()
-
-
 def _records():
     part = covering.CoverPart("sparse-chain", ((0, 5), (1, 4)))
     column = monotone.ColumnSpec("nondecreasing", Fraction(3, 2), abs)
@@ -25,8 +21,7 @@ def _records():
         "IdealPresentation": presentations.wr_pi(gridmaps.MAX_RANK),
         "RankMap": gridmaps.SKEW_RANK,
         "IndexPointMap": gridmaps.WEDGE_ZIGZAG,
-        "PartitionWitness": _DYADIC,
-        "PartitionEmbedding": gridmaps.partition_to_embedding(_DYADIC, 8),
+        "PartitionEmbedding": gridmaps.partition_to_embedding(gridmaps.dyadic_class, 8),
         "Infinity": -monotone.INF,
         "ColumnSpec": monotone.ColumnSpec("nonincreasing", monotone.INF, abs, threshold=2),
         "SequenceFamily": monotone.SequenceFamily((column,), 24),
@@ -42,7 +37,8 @@ def _records():
 
 
 # recorded from the frozen dataclasses these records replaced, with
-# function addresses dropped
+# function addresses dropped; PartitionEmbedding's repr is its own, shorter
+# than the dataclass's: the class function and the window
 REPRS = {
     "CoverPart": "CoverPart(kind='sparse-chain', members=((0, 5), (1, 4)))",
     "CoverCertificate": "CoverCertificate(parts=(CoverPart(kind='sparse-chain', members=((0, 5), (1, 4))),))",
@@ -51,8 +47,7 @@ REPRS = {
     "IdealPresentation": "IdealPresentation(family='WRpi', rank_map=RankMap(name='max-rank', fn=<function <lambda>>, preimages_fn=<function _max_preimages>), left=None, right=None, base=None, carrier=None)",
     "RankMap": "RankMap(name='skew-rank', fn=<function <lambda>>, preimages_fn=<function _skew_preimages>)",
     "IndexPointMap": "IndexPointMap(name='wedge-zigzag', to_point=<function wedge_zigzag_point>, to_index=<function wedge_zigzag_index>)",
-    "PartitionWitness": "PartitionWitness(class_of=<function dyadic_partition.<locals>.class_of>, nth_of_class=<function dyadic_partition.<locals>.nth>, rank_of=<function dyadic_partition.<locals>.rank_of>, all_infinite=True, name='dyadic')",
-    "PartitionEmbedding": "PartitionEmbedding(witness=PartitionWitness(class_of=<function dyadic_partition.<locals>.class_of>, nth_of_class=<function dyadic_partition.<locals>.nth>, rank_of=<function dyadic_partition.<locals>.rank_of>, all_infinite=True, name='dyadic'), window=8, mode='general')",
+    "PartitionEmbedding": "PartitionEmbedding(class_of=<function dyadic_class>, window=8)",
     "Infinity": "Infinity(sign=-1)",
     "ColumnSpec": "ColumnSpec(mode='nonincreasing', limit=Infinity(sign=1), term=<built-in function abs>, jmap=<function _identity>, threshold=2)",
     "SequenceFamily": "SequenceFamily(columns=(ColumnSpec(mode='nondecreasing', limit=Fraction(3, 2), term=<built-in function abs>, jmap=<function _identity>, threshold=0),), depth=24)",
