@@ -129,26 +129,26 @@ def _read_points(path: str | None) -> tuple:
     return tuple(map(tuple, _read_payload(path, "points")))
 
 
-def _rank_from_args(args, needed_by: str = ""):
-    """The catalog rank map --rank names, or None when it is absent and
-    nothing needs it; an unknown or missing name is refused with the
-    catalog listed."""
+def _rank_map(name: str | None, needed_by: str = ""):
+    """The catalog rank map a --rank, --pi or --pi0 name gives, or None
+    when it is absent and nothing needs it; an unknown or missing name is
+    refused with the catalog listed."""
     from . import gridmaps
 
     names = sorted(gridmaps.RANK_CATALOG)
-    if args.rank is None:
+    if name is None:
         if needed_by:
             raise CliError(f"{needed_by} needs --rank, one of {names}")
         return None
-    if args.rank not in gridmaps.RANK_CATALOG:
-        raise CliError(f"unknown rank map {args.rank!r}; choose from {names}")
-    return gridmaps.RANK_CATALOG[args.rank]
+    if name not in gridmaps.RANK_CATALOG:
+        raise CliError(f"unknown rank map {name!r}; choose from {names}")
+    return gridmaps.RANK_CATALOG[name]
 
 
 def _ideal_from_args(args) -> presentations.IdealPresentation:
     from . import presentations
 
-    rank = _rank_from_args(args, "WRpi" if args.ideal == "WRpi" else "")
+    rank = _rank_map(args.rank, "WRpi" if args.ideal == "WRpi" else "")
     if args.ideal != "WRpi":
         return {"WR": presentations.WR, "ED": presentations.ED, "EDup": presentations.EDUP}[args.ideal]
     return presentations.wr_pi(rank)
@@ -190,6 +190,8 @@ def _column_from_json(obj: dict) -> monotone.ColumnSpec:
         else:
             def term(j, limit=limit):
                 return limit + Fraction(1, j + 2)
+    elif limit not in (monotone.INF, -monotone.INF):
+        raise CliError("linear columns need an infinite limit")
     elif mode == monotone.NONDECREASING:
         def term(j):
             return Fraction(j)
@@ -239,7 +241,7 @@ def _cmd_oracle(args) -> int:
     for k in kinds:
         if k not in covering.KINDS:
             raise CliError(f"unknown kind {k!r}; choose from {covering.KINDS}")
-    rank = _rank_from_args(args, "a ranked-chain cover" if covering.RANKED_CHAIN in kinds else "")
+    rank = _rank_map(args.rank, "a ranked-chain cover" if covering.RANKED_CHAIN in kinds else "")
     pts = _read_points(args.input)
     cert = covering.brute_force_cover(pts, kinds, rank=rank)
     _emit({"cost": cert.cost, "parts": cert.to_json()["parts"]})
@@ -369,12 +371,9 @@ def _cmd_mon(args) -> int:
 
 
 def _cmd_sigma(args) -> int:
-    from . import gridmaps, transfer
+    from . import transfer
 
-    catalog = gridmaps.RANK_CATALOG
-    if args.pi not in catalog or args.pi0 not in catalog:
-        raise CliError(f"rank maps must come from {sorted(catalog)}")
-    built = transfer.build_chain_transfer(catalog[args.pi], catalog[args.pi0], args.window)
+    built = transfer.build_chain_transfer(_rank_map(args.pi), _rank_map(args.pi0), args.window)
     _emit(
         {
             "pi": args.pi,

@@ -71,6 +71,11 @@ class Infinity:
 
 INF = Infinity()
 
+# the most subsequence positions one extraction may walk: target_len times
+# the family's depth, checked before the walk, which visits up to that many
+# positions for the family and again for its mirror
+MAX_EXTRACT_WORK = 2 ** 18
+
 NONDECREASING = "nondecreasing"
 NONINCREASING = "nonincreasing"
 EVENTUALLY_CONSTANT = "eventually-constant"
@@ -342,6 +347,11 @@ def extract_mon(index_map, family: SequenceFamily, target_len: int, target_level
         raise ValueError("target_level must be nonnegative")
     if 2 * target_level >= target_len:
         raise ValueError("target_len must exceed twice target_level")
+    if target_len * family.depth > MAX_EXTRACT_WORK:
+        raise ValueError(
+            f"target_len * depth must be at most {MAX_EXTRACT_WORK} (monotone.MAX_EXTRACT_WORK), "
+            f"not {target_len * family.depth}"
+        )
     family.validate()
     try:
         return _extract(index_map, family, target_len, target_level, dual=False)

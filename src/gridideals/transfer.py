@@ -16,6 +16,7 @@ on samples.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import cache
 from typing import Iterable, NamedTuple
 
 from .grid import Point, canonical_points, is_ranked_chain, ranked
@@ -30,8 +31,10 @@ class TransferError(RuntimeError):
     pass
 
 
+@cache
 def _adjusted(rank: RankMap) -> tuple[RankMap, bool]:
-    """Ensure some column-0 point has rank 0, shifting column 0 if not."""
+    """Ensure some column-0 point has rank 0, shifting column 0 if not;
+    cached, so builds from one rank map share the shifted map."""
     if any(p[0] == 0 for p in rank.preimages(0)):
         return rank, False
     base_fn = rank.fn
@@ -89,73 +92,66 @@ class _Sublevel:
         return [p for c in range(first, last + 1) for p in self.waiting.pop(c, ())]
 
 
-class ChainTransfer:
-    """The built injection; total on every point with col < col_bound."""
+def _even_source(m, arows, lows, q: Point) -> Point | None:
+    """The point sent to q in an even column, or None when there is none."""
+    c, r = q
+    n = c // 2
+    if n == 0:
+        return q
+    if n >= len(m) or m[n - 1] == m[n]:
+        return None
+    t = _index_outside(arows[n], r)
+    if t is None:
+        return None
+    lo = m[n - 1]
+    row, col = divmod(_nth_outside(lows[n], t), m[n] - lo)
+    return (lo + col, row)
 
-    def __init__(self, pi: RankMap, pi0: RankMap, window: int, adjusted: bool):
-        self.pi = pi
-        self.pi0 = pi0
-        self.window = window
-        self.adjusted = adjusted
-        self.m = [1]
-        self.stalled: tuple[int, ...] = ()
-        self.col_bound = 0
-        self._arows: list[list[int]] = [[]]
-        # the a-sets and the strips' low points grow stage by stage, and
-        # the edge is a running maximum
-        self._pi_sub = _Sublevel(pi)
-        self._pi0_sub = _Sublevel(pi0)
-        self._reach: int | None = None
-        self._lows: list[list[int]] = [[]]
-        self._sp: dict[Point, Point] = {}
-        self._spi: dict[Point, Point] = {}
 
-    def stage_of_column(self, c: int) -> int:
-        if c < 1 or c >= self.m[-1]:
-            raise TransferError(f"column {c} is outside the built strips")
-        return bisect_right(self.m, c)
+class ChainTransfer(NamedTuple):
+    """A built injection as its tables, total on 0 <= col < col_bound: pi
+    (shifted on column 0 when adjusted), the strip edges m and the stages
+    that stalled, the rows arows[n] of A_n in column 2n, the sorted
+    positions lows[n] of strip n's low points, and the remainder
+    placement sp with its inverse spi."""
+
+    pi: RankMap
+    pi0: RankMap
+    adjusted: bool
+    m: tuple[int, ...]
+    stalled: tuple[int, ...]
+    col_bound: int
+    arows: tuple[tuple[int, ...], ...]
+    lows: tuple[tuple[int, ...], ...]
+    sp: dict[Point, Point]
+    spi: dict[Point, Point]
 
     def apply(self, p: Point) -> Point:
         c, r = p
-        if c >= self.col_bound:
+        if not (0 <= c < self.col_bound and r >= 0):
             raise TransferError(
-                f"point {p} is outside the constructed domain (col < {self.col_bound})"
+                f"point {p} is outside the constructed domain "
+                f"(0 <= col < {self.col_bound}, row >= 0)"
             )
         if c == 0:
             return p
-        n = self.stage_of_column(c)
+        n = bisect_right(self.m, c)
         lo = self.m[n - 1]
-        t = _index_outside(self._lows[n], r * (self.m[n] - lo) + c - lo)
+        t = _index_outside(self.lows[n], r * (self.m[n] - lo) + c - lo)
         if t is None:
-            q = self._sp.get(p)
+            q = self.sp.get(p)
             if q is None:
                 raise TransferError(f"remainder image missing for {p}")
             return q
-        return (2 * n, _nth_outside(self._arows[n], t))
+        return (2 * n, _nth_outside(self.arows[n], t))
 
     def invert(self, q: Point) -> Point | None:
-        """Preimage of q, or None when q is outside the range."""
+        """Preimage of q, or None when q is off the grid or outside the range."""
+        if q[0] < 0 or q[1] < 0:
+            return None
         if q[0] % 2 == 1:
-            return self._spi.get(q)
-        return self._even_source(q)
-
-    def _even_source(self, q: Point) -> Point | None:
-        """The point sent to q in an even column, or None when there is none."""
-        c, r = q
-        n = c // 2
-        if n == 0:
-            return q
-        if n >= len(self.m) or self.m[n - 1] == self.m[n]:
-            return None
-        t = _index_outside(self._arows[n], r)
-        if t is None:
-            return None
-        lo = self.m[n - 1]
-        row, col = divmod(_nth_outside(self._lows[n], t), self.m[n] - lo)
-        return (lo + col, row)
-
-    def in_remainder_range(self, q: Point) -> bool:
-        return q in self._spi
+            return self.spi.get(q)
+        return _even_source(self.m, self.arows, self.lows, q)
 
     def table(self, cols: int, rows: int) -> list[tuple[Point, Point]]:
         out = []
@@ -163,43 +159,6 @@ class ChainTransfer:
             for r in range(rows):
                 out.append(((c, r), self.apply((c, r))))
         return out
-
-    def _run_stage(self) -> list[Point]:
-        """Append the next a-set and strip edge; return the new strip's remainder.
-
-        The a-set A_n holds the points of pi rank at most 2n in columns
-        0..2n, so it grows from A_{n-1} by the preimages of the two new
-        rank values and the points of the two new columns.
-        """
-        n = len(self.m)
-        if n > MAX_STAGES:
-            raise TransferError("stage limit exceeded while growing the strip edges")
-        new = set(self._pi_sub.take(2 * n, 0, 2 * n))
-        self._arows.append(sorted(r for c, r in new if c == 2 * n))
-        # the edge is the largest pi0 rank among the block points the a-set
-        # reaches in the earlier even columns.  Column 2(n-1) has a strip
-        # only from this stage on; every other even-column point was read
-        # when it joined the a-set
-        fresh = [q for q in new if q[0] % 2 == 0 and q[0] < 2 * n]
-        fresh += [(2 * n - 2, r) for r in self._arows[n - 1]]
-        reached = [self.pi0(d) for d in map(self._even_source, fresh) if d is not None]
-        if self._reach is not None:
-            reached.append(self._reach)
-        lo = self.m[-1]
-        if reached:
-            edge = self._reach = max(reached)
-            if edge < lo:
-                raise TransferError("strip edges decreased; inconsistent rank maps")
-        else:
-            edge = lo
-            self.stalled += (n,)
-        self.m.append(edge)
-        width = edge - lo
-        # the strip's points of pi0 rank at most its edge; points of an
-        # earlier strip's columns that rank above its edge wait unused
-        low = self._pi0_sub.take(edge, lo, edge - 1)
-        self._lows.append(sorted(r * width + c - lo for c, r in low))
-        return low
 
 
 def build_chain_transfer(pi: RankMap, pi0: RankMap, window: int) -> ChainTransfer:
@@ -216,21 +175,58 @@ def build_chain_transfer(pi: RankMap, pi0: RankMap, window: int) -> ChainTransfe
             if not rm.preimages(v):
                 raise TransferError(f"invalid rank map {rm.name}: no preimage of {v}")
     pi, adjusted = _adjusted(pi)
-    built = ChainTransfer(pi, pi0, window, adjusted)
+    pi_sub, pi0_sub = _Sublevel(pi), _Sublevel(pi0)
+    m, stalled, arows, lows = [1], [], [[]], [[]]
+    # the edge is a running maximum of the pi0 ranks the a-sets reach
+    reach = None
     remainder: list[Point] = []
-    while built.m[-1] < window:
-        remainder += built._run_stage()
-    built.col_bound = built.m[-1]
-
-    vstar = max((pi0(b) for b in remainder), default=0)
-    # points of rank <= vstar beyond the built strips also belong to the
-    # remainder; extend the edges far enough to cover their columns
-    target_col = max(
-        (q[0] for v in range(vstar + 1) for q in pi0.preimages(v) if q[0] >= built.col_bound),
-        default=0,
-    )
-    while built.m[-1] <= target_col:
-        remainder += built._run_stage()
+    col_bound, goal = 0, window
+    while not col_bound or m[-1] < goal:
+        if m[-1] >= goal:
+            # the strips pass the window.  Points of rank <= vstar beyond
+            # them also belong to the remainder; grow the edges on past
+            # their columns
+            col_bound = m[-1]
+            vstar = max((pi0(b) for b in remainder), default=0)
+            goal = max(
+                (q[0] + 1 for v in range(vstar + 1) for q in pi0.preimages(v) if q[0] >= col_bound),
+                default=0,
+            )
+            continue
+        # stage n appends the a-set A_n and the edge m_n.  A_n holds the
+        # points of pi rank at most 2n in columns 0..2n, so it grows from
+        # A_{n-1} by the preimages of the two new rank values and the
+        # points of the two new columns
+        n = len(m)
+        if n > MAX_STAGES:
+            raise TransferError("stage limit exceeded while growing the strip edges")
+        new = pi_sub.take(2 * n, 0, 2 * n)
+        arows.append(sorted(r for c, r in new if c == 2 * n))
+        # the edge is the largest pi0 rank among the block points the a-set
+        # reaches in the earlier even columns.  Column 2(n-1) has a strip
+        # only from this stage on; every other even-column point was read
+        # when it joined the a-set
+        fresh = [q for q in new if q[0] % 2 == 0 and q[0] < 2 * n]
+        fresh += [(2 * n - 2, r) for r in arows[n - 1]]
+        sources = (_even_source(m, arows, lows, q) for q in fresh)
+        reached = [pi0(d) for d in sources if d is not None]
+        if reach is not None:
+            reached.append(reach)
+        lo = m[-1]
+        if reached:
+            edge = reach = max(reached)
+            if edge < lo:
+                raise TransferError("strip edges decreased; inconsistent rank maps")
+        else:
+            edge = lo
+            stalled.append(n)
+        m.append(edge)
+        width = edge - lo
+        # the strip's points of pi0 rank at most its edge; points of an
+        # earlier strip's columns that rank above its edge wait unused
+        low = pi0_sub.take(edge, lo, edge - 1)
+        lows.append(sorted(r * width + c - lo for c, r in low))
+        remainder += low
 
     # enumerate the remainder prefix in rank order, larger columns first
     # among equal ranks, and place each element in its odd column
@@ -243,6 +239,7 @@ def build_chain_transfer(pi: RankMap, pi0: RankMap, window: int) -> ChainTransfe
     # its last image has rank at most the next bound: resume past that image
     next_row: dict[int, int] = {}
     last_rank = -1
+    sp: dict[Point, Point] = {}
     for b in prefix:
         f_b = bisect_left(rem_cols, pi0(b))
         h_b = bisect_left(rem_cols, b[0])
@@ -254,11 +251,12 @@ def build_chain_transfer(pi: RankMap, pi0: RankMap, window: int) -> ChainTransfe
             if y > MAX_REMAINDER_ROWS:
                 raise TransferError("no admissible remainder image found")
         next_row[col_v] = y + 1
-        q = (col_v, y)
-        built._sp[b] = q
-        built._spi[q] = b
-        last_rank = pi(q)
-    return built
+        sp[b] = (col_v, y)
+        last_rank = pi((col_v, y))
+    return ChainTransfer(
+        pi, pi0, adjusted, tuple(m), tuple(stalled), col_bound,
+        tuple(map(tuple, arows)), tuple(map(tuple, lows)), sp, {q: b for b, q in sp.items()},
+    )
 
 
 class DecompositionReport(NamedTuple):

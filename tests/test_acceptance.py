@@ -5,8 +5,11 @@ pass.  Tolerances are exact equalities and the stated bounds; nothing is
 calibrated at runtime.
 """
 
+import functools
+import multiprocessing
+import os
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 from gridideals import (
     DIAG_RANK,
@@ -69,18 +72,38 @@ def _check_against_oracle(pts) -> None:
     assert phi_cost("EDup", pts) == oracle_cover_cost(pts, (VERTICAL_LINE, NONDECREASING_GRAPH))
 
 
-def test_criterion_1_oracle_equivalence():
+def _criterion_1_sets():
+    """Every set of at most 4 points in an 8x8 box, then 500 seeded sets of
+    at most 6 points."""
     pool = [(c, r) for c in range(8) for r in range(8)]
-    checked = 0
     for size in range(5):
-        for pts in combinations(pool, size):
-            _check_against_oracle(pts)
-            checked += 1
+        yield from combinations(pool, size)
     rng = random.Random(101)
     for _ in range(500):
-        pts = random_points(rng, 8, 8, 6)
-        _check_against_oracle(pts)
+        yield random_points(rng, 8, 8, 6)
+
+
+def _criterion_1_share(part: int, parts: int) -> int:
+    """Check every parts-th set of criterion 1 from the part-th on; return
+    the count checked, or raise naming the first set that fails."""
+    checked = 0
+    for pts in islice(_criterion_1_sets(), part, None, parts):
+        try:
+            _check_against_oracle(pts)
+        except AssertionError as exc:
+            raise AssertionError(f"criterion 1 fails on {pts}: {exc}") from None
         checked += 1
+    return checked
+
+
+def test_criterion_1_oracle_equivalence():
+    # forked workers inherit the loaded modules; the suite starts no thread.
+    # Results come in as the shares finish, so a failing share raises
+    # without waiting for the other, and leaving the pool stops it
+    workers = min(2, os.cpu_count() or 1)
+    share = functools.partial(_criterion_1_share, parts=workers)
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        checked = sum(pool.imap_unordered(share, range(workers)))
     _report(1, f"structured solvers match the oracle on {checked} point sets")
 
 

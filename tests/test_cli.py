@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -41,9 +42,13 @@ RANKS = "['diag-rank', 'max-rank', 'offset-rank', 'skew-rank']"
         (["oracle", "cover", "--kinds", "ranked-chain"], f"a ranked-chain cover needs --rank, one of {RANKS}"),
         (["game", "play", "--rank", "nosuch"], f"unknown rank map 'nosuch'; choose from {RANKS}"),
         (["game", "play", "--ideal", "WRpi"], f"WRpi needs --rank, one of {RANKS}"),
+        (["sigma", "build", "--pi", "nosuch", "--pi0", "diag-rank"],
+         f"unknown rank map 'nosuch'; choose from {RANKS}"),
+        (["sigma", "build", "--pi", "diag-rank", "--pi0", "nosuch"],
+         f"unknown rank map 'nosuch'; choose from {RANKS}"),
     ],
     ids=["phi-WRpi", "phi-WR", "oracle-sparse-chain", "oracle-ranked-chain", "oracle-no-rank",
-         "game-WR", "game-no-rank"],
+         "game-WR", "game-no-rank", "sigma-pi", "sigma-pi0"],
 )
 def test_rank_names_are_checked(argv, error):
     assert run_cli(argv, "[[0,1],[2,3]]") == (1, json.dumps({"error": error}) + "\n")
@@ -417,7 +422,7 @@ _DECREASING = '{"case": "constant-terms-increasing-dual", "direction": "decreasi
         ({"mode": "nonincreasing", "limit": "-inf", "style": "linear"}, (0, _DECREASING)),
         ({"mode": "nonincreasing", "limit": "1/2"}, (0, _DECREASING)),
         ({"mode": "nondecreasing", "limit": "1", "style": "linear"},
-         (1, '{"error": "descriptor invalid: column 0 breaks its declared nondecreasing shape"}\n')),
+         (1, '{"error": "linear columns need an infinite limit"}\n')),
     ],
     ids=["linear-nondecreasing", "linear-nonincreasing", "approach-nonincreasing",
          "linear-finite-limit"],
@@ -426,6 +431,28 @@ def test_mon_extract_term_rules(column, expected):
     # the term rules of cli._column_from_json that the other inputs leave idle
     argv = ["mon", "extract", "--target-len", "5", "--level", "2"]
     assert run_cli(argv, json.dumps({"columns": [column] * 9})) == expected
+
+
+@pytest.mark.parametrize(
+    "style, error",
+    [
+        ("linear", "linear columns need an infinite limit"),
+        ("approach", "target_len * depth must be at most 262144 (monotone.MAX_EXTRACT_WORK), "
+                     "not 5000000000000"),
+    ],
+)
+def test_mon_extract_deep_walk_refused(style, error):
+    # nine falling limits at depth 10**12.  Linear terms pass a finite
+    # limit only after the positions the descriptor check samples, so the
+    # walk found no admissible term and ran on past a minute; the linear
+    # rule refuses those columns, and the work bound the depth
+    columns = [{"mode": "nondecreasing", "limit": str(10**6 - i), "style": style}
+               for i in range(9)]
+    argv = ["mon", "extract", "--target-len", "5", "--level", "2"]
+    start = time.perf_counter()
+    result = run_cli(argv, json.dumps({"columns": columns, "depth": 10**12}))
+    assert time.perf_counter() - start < 2
+    assert result == (1, json.dumps({"error": error}) + "\n")
 
 
 def test_mon_has_no_map_flag():

@@ -71,6 +71,7 @@ OUTPUTS = {
 # no schema states
 SEMANTIC = {
     "approach columns need a finite limit",  # cli._column_from_json
+    "linear columns need an infinite limit",  # cli._column_from_json
     "nonempty point list required",  # covering.sparsity_witness, for witness
     # cli._cmd_map, for invert-rank
     "map invert rank values, each plus one, must sum to at most 100000 (cli.MAX_RANK_SUM)",

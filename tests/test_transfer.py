@@ -59,7 +59,7 @@ def test_injective_and_parts_disjoint():
         # ranges split by column parity: remainder odd, blocks even
         for q in images:
             if q[0] % 2 == 1:
-                assert t.in_remainder_range(q)
+                assert q in t.spi
 
 
 def test_invert_round_trip():
@@ -73,9 +73,9 @@ def test_invert_round_trip():
 def test_line_preimages():
     t = build_chain_transfer(DIAG_RANK, DIAG_RANK, 24)
     # odd lines: finitely many preimages (just the remainder entries)
-    odd_cols = {q[0] for q in t._spi}
+    odd_cols = {q[0] for q in t.spi}
     for c in odd_cols:
-        pre = [b for q, b in t._spi.items() if q[0] == c]
+        pre = [b for q, b in t.spi.items() if q[0] == c]
         assert len(pre) < 50
     # even lines: preimages confined to one strip of columns
     for n in range(1, len(t.m) - 1):
@@ -91,8 +91,27 @@ def test_line_preimages():
 
 def test_outside_domain_raises():
     t = build_chain_transfer(DIAG_RANK, DIAG_RANK, 8)
-    with pytest.raises(TransferError):
-        t.apply((t.col_bound + 5, 0))
+    for p in [(t.col_bound + 5, 0), (t.col_bound, 0), (-1, 0), (0, -1), (3, -1)]:
+        with pytest.raises(TransferError):
+            t.apply(p)
+
+
+def test_invert_off_the_grid_is_none():
+    for pi, pi0 in PAIRS:
+        t = build_chain_transfer(pi, pi0, 16)
+        for q in [(-1, 0), (-2, 3), (0, -1), (1, -1), (2, -1), (4, -3)]:
+            assert t.invert(q) is None
+
+
+def test_builds_are_equal_records():
+    for pi in RANK_CATALOG.values():
+        for pi0 in RANK_CATALOG.values():
+            assert build_chain_transfer(pi, pi0, 16) == build_chain_transfer(pi, pi0, 16)
+    t = build_chain_transfer(MAX_RANK, SKEW_RANK, 16)
+    assert t != build_chain_transfer(MAX_RANK, SKEW_RANK, 40)
+    for field in t._fields:
+        with pytest.raises(AttributeError):
+            setattr(t, field, getattr(t, field))
 
 
 def test_decomposition_trivial_samples():
@@ -148,7 +167,7 @@ def test_incremental_a_sets_match_definition():
         for pi0 in RANK_CATALOG.values():
             t = build_chain_transfer(pi, pi0, 24)
             for n in range(1, len(t.m)):
-                assert t._arows[n] == sorted(r for c, r in _a_set(t, n) if c == 2 * n)
+                assert t.arows[n] == tuple(sorted(r for c, r in _a_set(t, n) if c == 2 * n))
 
 
 def _transfer_digest(t, window):
@@ -156,7 +175,7 @@ def _transfer_digest(t, window):
     a_sets = [sorted(_a_set(t, n)) for n in range(len(t.m))]
     doc = [
         t.m, list(t.stalled), t.adjusted, t.col_bound,
-        a_sets, sorted(t._spi.items()), t.table(window, window), inverse,
+        a_sets, sorted(t.spi.items()), t.table(window, window), inverse,
     ]
     return json.dumps(doc).encode()
 
