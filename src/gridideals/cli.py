@@ -160,9 +160,10 @@ def _column_from_json(obj: dict) -> monotone.ColumnSpec:
     from . import monotone
 
     mode, limit = obj["mode"], obj["limit"]
+    infinite = limit in ("inf", "-inf")
     # the schema's pattern leaves Fraction no decimal or exponent to read,
     # so "1e999999999" never builds a billion-digit integer
-    if limit in ("inf", "-inf"):
+    if infinite:
         limit = monotone.INF if limit == "inf" else -monotone.INF
     else:
         limit = Fraction(limit)
@@ -171,33 +172,23 @@ def _column_from_json(obj: dict) -> monotone.ColumnSpec:
     def jmap(k):
         return a * k + b
 
-    style = obj.get("style", "approach")
     threshold = obj.get("threshold", 0)
-    if mode == monotone.EVENTUALLY_CONSTANT:
+    # every kind of column but a linear one needs a finite limit
+    kind = mode if mode == monotone.EVENTUALLY_CONSTANT else obj.get("style", "approach")
+    if infinite != (kind == "linear"):
+        need = "an infinite" if kind == "linear" else "a finite"
+        raise CliError(f"{kind} columns need {need} limit")
+    if kind == monotone.EVENTUALLY_CONSTANT:
         pivot = jmap(threshold)
 
-        def term(j, limit=limit, pivot=pivot):
-            if j >= pivot:
-                return limit
-            return limit - (pivot - j)
-
-    elif style == "approach":
-        if limit in (monotone.INF, -monotone.INF):
-            raise CliError("approach columns need a finite limit")
-        if mode == monotone.NONDECREASING:
-            def term(j, limit=limit):
-                return limit - Fraction(1, j + 2)
-        else:
-            def term(j, limit=limit):
-                return limit + Fraction(1, j + 2)
-    elif limit not in (monotone.INF, -monotone.INF):
-        raise CliError("linear columns need an infinite limit")
-    elif mode == monotone.NONDECREASING:
         def term(j):
-            return Fraction(j)
+            return limit if j >= pivot else limit - (pivot - j)
     else:
+        # a nonincreasing column is the nondecreasing one times -1
+        sign = -1 if mode == monotone.NONINCREASING else 1
+
         def term(j):
-            return Fraction(-j)
+            return sign * (Fraction(j) if kind == "linear" else sign * limit - Fraction(1, j + 2))
     return monotone.ColumnSpec(mode, limit, term, jmap, threshold)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import total_ordering
 from numbers import Rational
+from operator import eq, ge, gt, le, lt, neg
 from typing import Callable, NamedTuple, Sequence
 
 from .covering import SparsityWitness, sparsity_witness
@@ -73,7 +74,7 @@ INF = Infinity()
 
 # the most subsequence positions one extraction may walk: target_len times
 # the family's depth, checked before the walk, which visits up to that many
-# positions for the family and again for its mirror
+# positions for the family and again with the sign reversed
 MAX_EXTRACT_WORK = 2 ** 18
 
 NONDECREASING = "nondecreasing"
@@ -94,6 +95,12 @@ _DIRECTION = {
 
 _FLIP = {"increasing": "decreasing", "decreasing": "increasing",
          "nondecreasing-constant": "nondecreasing-constant"}
+
+# the test each term makes against the one placed before it
+_STEP = {"increasing": lt, "decreasing": gt, "nondecreasing-constant": eq}
+
+# the order a column's terms keep, with each other and with its limit
+_SHAPE = {NONDECREASING: le, NONINCREASING: ge}
 
 
 class DescriptorError(ValueError):
@@ -161,15 +168,10 @@ class SequenceFamily(NamedTuple):
                     )
                 continue
             vals = [spec.term(r) for r in rows]
-            if spec.mode == NONDECREASING:
-                ok = all(a <= b for a, b in zip(vals, vals[1:]))
-                ok = ok and all(v <= spec.limit for v in vals)
-            elif spec.mode == NONINCREASING:
-                ok = all(a >= b for a, b in zip(vals, vals[1:]))
-                ok = ok and all(v >= spec.limit for v in vals)
-            else:
+            order = _SHAPE.get(spec.mode)
+            if order is None:
                 raise DescriptorError(f"descriptor invalid: unknown mode {spec.mode!r}")
-            if not ok:
+            if not (all(map(order, vals, vals[1:])) and all(order(v, spec.limit) for v in vals)):
                 raise DescriptorError(
                     f"descriptor invalid: column {i} breaks its declared {spec.mode} shape"
                 )
@@ -219,76 +221,56 @@ class VerifyResult(NamedTuple):
 # case selection
 
 
-def _select_case(fam: SequenceFamily, need: int):
+def _select_case(fam: SequenceFamily, need: int, sign: int):
+    """The case and the chosen columns when the family is read with sign:
+    at -1 a nonincreasing column counts as rising and every limit is
+    negated."""
+    rising = NONDECREASING if sign > 0 else NONINCREASING
+    read = _identity if sign > 0 else neg
     eligible = [
         i
         for i, s in enumerate(fam.columns)
-        if s.mode in (NONDECREASING, EVENTUALLY_CONSTANT)
+        if s.mode in (rising, EVENTUALLY_CONSTANT)
     ]
     if len(eligible) < need:
         return None, None
-    limits = [fam.columns[i].limit for i in eligible]
+    limits = [read(fam.columns[i].limit) for i in eligible]
     inc = [eligible[k] for k in longest_increasing(limits)]
     if len(inc) >= need:
         return CASE_LIMITS_INCREASING, inc[:need]
     groups: dict = {}
-    for i in eligible:
-        groups.setdefault(fam.columns[i].limit, []).append(i)
+    for i, limit in zip(eligible, limits):
+        groups.setdefault(limit, []).append(i)
     values = sorted(groups)
     for value in values:
         ec = [i for i in groups[value] if fam.columns[i].mode == EVENTUALLY_CONSTANT]
         if len(ec) >= need:
             return CASE_CONSTANT_TERMS_CONSTANT, ec[:need]
     for value in values:
-        rising = [i for i in groups[value] if fam.columns[i].mode == NONDECREASING]
-        if len(rising) >= need:
-            return CASE_CONSTANT_TERMS_INCREASING, rising[:need]
+        up = [i for i in groups[value] if fam.columns[i].mode == rising]
+        if len(up) >= need:
+            return CASE_CONSTANT_TERMS_INCREASING, up[:need]
     dec = [eligible[k] for k in longest_increasing([-v for v in limits])]
     if len(dec) >= need:
         return CASE_LIMITS_DECREASING, dec[:need]
     return None, None
 
 
-def _mirror(fam: SequenceFamily) -> SequenceFamily:
-    swapped = {
-        NONDECREASING: NONINCREASING,
-        NONINCREASING: NONDECREASING,
-        EVENTUALLY_CONSTANT: EVENTUALLY_CONSTANT,
-    }
-
-    def negate(term):
-        return lambda j: -term(j)
-
-    cols = tuple(
-        ColumnSpec(swapped[s.mode], -s.limit, negate(s.term), s.jmap, s.threshold)
-        for s in fam.columns
-    )
-    return SequenceFamily(cols, fam.depth)
-
-
 # ---------------------------------------------------------------------------
 # extraction
 
 
-def _value_admissible(case: str, value, prev_value, next_limit) -> bool:
-    if case == CASE_CONSTANT_TERMS_CONSTANT:
-        return prev_value is None or value == prev_value
-    if case == CASE_LIMITS_DECREASING:
-        if value <= next_limit:
-            return False
-        return prev_value is None or value < prev_value
-    return prev_value is None or value > prev_value
-
-
-def _extract(index_map, fam: SequenceFamily, target_len: int, target_level: int, dual: bool):
+def _extract(index_map, fam: SequenceFamily, target_len: int, target_level: int, sign: int):
     need = 2 * target_len - 1
-    case, chosen = _select_case(fam, need)
+    case, chosen = _select_case(fam, need, sign)
     if case is None:
         raise ExtractionError(
             f"not enough columns for any case (need {need} eligible ones)"
         )
+    read = _identity if sign > 0 else neg
     direction, label = _DIRECTION[case], case
-    if dual:
+    step = _STEP[direction]
+    if sign < 0:
         direction, label = _FLIP[direction], case + "-dual"
     points: list[Point] = []
     indices: list[int] = []
@@ -298,18 +280,19 @@ def _extract(index_map, fam: SequenceFamily, target_len: int, target_level: int,
         cid = chosen[i]
         spec = fam.columns[cid]
         growth_col = chosen[2 * i]
-        next_limit = fam.columns[chosen[i + 1]].limit if case == CASE_LIMITS_DECREASING else None
+        # limits-decreasing keeps each term above the next column's limit
+        floor = read(fam.columns[chosen[i + 1]].limit) if case == CASE_LIMITS_DECREASING else None
         k = spec.threshold if spec.mode == EVENTUALLY_CONSTANT else 0
         found = None
         while k < fam.depth:
             j = spec.jmap(k)
-            value = spec.term(j)
-            if _value_admissible(case, value, prev_value, next_limit):
-                if cid + j > growth_col:
-                    index = index_map.to_index((cid, j))
-                    if index > prev_index:
-                        found = ((cid, j), value, index)
-                        break
+            value = read(spec.term(j))
+            admissible = prev_value is None or step(prev_value, value)
+            if admissible and (floor is None or value > floor) and cid + j > growth_col:
+                index = index_map.to_index((cid, j))
+                if index > prev_index:
+                    found = ((cid, j), value, index)
+                    break
             k += 1
         if found is None:
             raise ExtractionError(
@@ -338,8 +321,9 @@ def extract_mon(index_map, family: SequenceFamily, target_len: int, target_level
     the column two positions ahead, which makes the run of points from
     position k to 2k a valid witness of level k; that is why target_len
     must exceed twice target_level.  When the declared shapes offer no
-    regime, the mirrored family (negated values) is tried before giving
-    up, covering the nonincreasing side by the same code path.
+    regime, the walk is tried again with the sign reversed, where the
+    nonincreasing columns rise and every limit and term is read negated,
+    covering the nonincreasing side by the same code path.
     """
     if target_len <= 0:
         raise ValueError("target_len must be positive")
@@ -354,10 +338,10 @@ def extract_mon(index_map, family: SequenceFamily, target_len: int, target_level
         )
     family.validate()
     try:
-        return _extract(index_map, family, target_len, target_level, dual=False)
+        return _extract(index_map, family, target_len, target_level, 1)
     except ExtractionError as primary:
         try:
-            return _extract(index_map, _mirror(family), target_len, target_level, dual=True)
+            return _extract(index_map, family, target_len, target_level, -1)
         except ExtractionError:
             raise primary from None
 

@@ -423,9 +423,14 @@ _DECREASING = '{"case": "constant-terms-increasing-dual", "direction": "decreasi
         ({"mode": "nonincreasing", "limit": "1/2"}, (0, _DECREASING)),
         ({"mode": "nondecreasing", "limit": "1", "style": "linear"},
          (1, '{"error": "linear columns need an infinite limit"}\n')),
+        # every term before the threshold would be the infinite limit too
+        ({"mode": "eventually-constant", "limit": "inf", "threshold": 1},
+         (1, '{"error": "eventually-constant columns need a finite limit"}\n')),
+        ({"mode": "eventually-constant", "limit": "-inf", "threshold": 1},
+         (1, '{"error": "eventually-constant columns need a finite limit"}\n')),
     ],
     ids=["linear-nondecreasing", "linear-nonincreasing", "approach-nonincreasing",
-         "linear-finite-limit"],
+         "linear-finite-limit", "constant-infinite-limit", "constant-negative-infinite-limit"],
 )
 def test_mon_extract_term_rules(column, expected):
     # the term rules of cli._column_from_json that the other inputs leave idle

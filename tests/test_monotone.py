@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from support import (
     MON_FAMILY_MAKERS,
     family_dual_decreasing,
     family_limits_increasing,
+    mirror_family,
 )
 
 
@@ -84,8 +87,6 @@ def test_round_trip_all_cases():
 
 
 def test_mirrored_families_flip_directions():
-    from support import mirror_family
-
     rng = random.Random(6)
     flip = {"increasing": "decreasing", "decreasing": "increasing",
             "nondecreasing-constant": "nondecreasing-constant"}
@@ -170,9 +171,9 @@ def test_resource_exhaustion_carries_prefix():
     assert (cert.case, cert.direction) == ("constant-terms-constant", "nondecreasing-constant")
     # extract_mon raises the primary error, so the dual prefix is read directly
     fam = family_dual_decreasing(random.Random(3), 30)
-    short = monotone._mirror(SequenceFamily(fam.columns, depth=3))
+    short = SequenceFamily(fam.columns, depth=3)
     with pytest.raises(ExtractionError) as err:
-        monotone._extract(WEDGE_ZIGZAG, short, 9, 2, dual=True)
+        monotone._extract(WEDGE_ZIGZAG, short, 9, 2, -1)
     cert = err.value.certificate
     assert (cert.case, cert.direction) == ("limits-increasing-dual", "decreasing")
     assert cert.points == ((0, 3), (1, 4), (2, 6)) and cert.witnesses == ()
@@ -246,3 +247,27 @@ def test_nonidentity_jmap():
         spec = fam.columns[c]
         rows = {spec.jmap(k) for k in range(fam.depth)}
         assert r in rows
+
+
+# sha256 over extract_mon's outcome for seeds 0-19 and every family maker
+# at 20 columns, each as is and mirrored, at target (8, 3) and depth 512,
+# and for seeds 0-9 at depth 3 too, where the walks run out: the
+# certificate JSON, or the error's type, text and prefix certificate
+MON_DIGEST = "f7439f6214172a754caabae3b51deed99c4bcfebfcaf344df0f8060aaa7a9925"
+
+
+def test_extractions_match_recorded_digest():
+    digest = hashlib.sha256()
+    for seed in range(20):
+        for maker in (*MON_FAMILY_MAKERS.values(), family_dual_decreasing):
+            fam = maker(random.Random(seed), 20)
+            for variant in (fam, mirror_family(fam)):
+                for depth in (512, 3) if seed < 10 else (512,):
+                    try:
+                        cert = extract_mon(WEDGE_ZIGZAG, variant._replace(depth=depth), 8, 3)
+                        record = cert.to_json()
+                    except ExtractionError as exc:
+                        prefix = None if exc.certificate is None else exc.certificate.to_json()
+                        record = [type(exc).__name__, str(exc), prefix]
+                    digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == MON_DIGEST
