@@ -40,9 +40,8 @@ _EXPORTS = {
             verify_certificate
         """,
         "presentations": """
-            ED EDUP EMPTY_X_FIN FIN FIN_X_FIN WR IdealPresentation SetDescriptor column
-            column_tail dense_subset descriptor_in_ideal direct_sum empty_set finite_points
-            pick_outside restrict wr_pi
+            ED EDUP FIN WR IdealPresentation SetDescriptor column column_tail
+            descriptor_in_ideal empty_set finite_points pick_outside wr_pi
         """,
         "transfer": """
             ChainTransfer DecompositionReport TransferError build_chain_transfer

@@ -342,8 +342,10 @@ def extract_mon(index_map, family: SequenceFamily, target_len: int, target_level
     except ExtractionError as primary:
         try:
             return _extract(index_map, family, target_len, target_level, -1)
-        except ExtractionError:
-            raise primary from None
+        except ExtractionError as reversed_error:
+            # an error without a prefix certificate means the +1 pass found
+            # no case, so the reversed pass's error is the one that informs
+            raise (reversed_error if primary.certificate is None else primary) from None
 
 
 # ---------------------------------------------------------------------------

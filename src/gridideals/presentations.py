@@ -1,19 +1,20 @@
-"""Named ideal presentations and a small symbolic algebra of infinite sets.
+"""Named ideal presentations and the set descriptors the blocking game plays with.
 
-Descriptors denote finite unions of whole columns, column tails, and
-finite point sets.  That algebra is deliberately tiny: it covers every
-infinite set the supported constructions manipulate while keeping
-membership in each presented ideal decidable.
+A descriptor denotes a finite union of whole columns, column tails, and
+finite point sets.  The game asks three things of one: whether a point
+lies in it (`contains`), a point outside it (`pick_outside`), and its
+membership in the presented ideal (`descriptor_in_ideal`), which is
+exact for every presentation here.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .covering import IdealError
-from .grid import Point, canonical_points, ranked, sparse_before
+from .grid import Point, canonical_points
 from .gridmaps import RankMap
 
 
@@ -70,29 +71,6 @@ class SetDescriptor(NamedTuple):
         )
 
     __or__ = union
-
-    def intersect(self, other: "SetDescriptor") -> "SetDescriptor":
-        # the overlaps of two sorted run lists, swept with one pointer each
-        a, b = self.columns, other.columns
-        runs = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            first, last = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
-            if first <= last:
-                runs.append((first, last))
-            if a[i][1] < b[j][1]:
-                i += 1
-            else:
-                j += 1
-        starts = dict(other.tails)
-        tails = [t for t in self.tails if _on_run(b, t[0])]
-        tails += [t for t in other.tails if _on_run(a, t[0])]
-        tails += [(c, max(s, starts[c])) for c, s in self.tails if c in starts]
-        pts = {p for p in self.points if other.contains(p)}
-        pts |= {p for p in other.points if self.contains(p)}
-        return _canonical(runs, tails, pts)
-
-    __and__ = intersect
 
     def is_finite(self) -> bool:
         return not self.columns and not self.tails
@@ -197,27 +175,16 @@ def pick_outside(d: SetDescriptor, beyond: int = -1) -> Point:
 
 
 class IdealPresentation(NamedTuple):
-    """A named generator system.
-
-    Atomic families: Fin, WR, ED, EDup, FinxFin, EmptyxFin, and WRpi
-    (parameterized by a rank map).  Composite families: direct sums and
-    restrictions.
-    """
+    """A named generator system: WR, ED, EDup, WRpi (parameterized by a
+    rank map), or Fin, the finite sets, the one family under which a
+    blocked set can be illegal in `game.play`."""
 
     family: str
     rank_map: RankMap | None = None
-    left: "IdealPresentation | None" = None
-    right: "IdealPresentation | None" = None
-    base: "IdealPresentation | None" = None
-    carrier: SetDescriptor | None = None
 
     def describe(self) -> str:
         if self.family == "WRpi":
             return f"WRpi({self.rank_map.name})"
-        if self.family == "sum":
-            return f"({self.left.describe()} (+) {self.right.describe()})"
-        if self.family == "restrict":
-            return f"{self.base.describe()}|carrier"
         return self.family
 
 
@@ -225,43 +192,13 @@ FIN = IdealPresentation("Fin")
 WR = IdealPresentation("WR")
 ED = IdealPresentation("ED")
 EDUP = IdealPresentation("EDup")
-FIN_X_FIN = IdealPresentation("FinxFin")
-EMPTY_X_FIN = IdealPresentation("EmptyxFin")
 
 
 def wr_pi(rank_map: RankMap) -> IdealPresentation:
     return IdealPresentation("WRpi", rank_map=rank_map)
 
 
-def direct_sum(left: IdealPresentation, right: IdealPresentation) -> IdealPresentation:
-    return IdealPresentation("sum", left=left, right=right)
-
-
-def restrict(base: IdealPresentation, carrier: SetDescriptor) -> IdealPresentation:
-    return IdealPresentation("restrict", base=base, carrier=carrier)
-
-
-def split_by_parity(d: SetDescriptor) -> tuple[SetDescriptor, SetDescriptor]:
-    """Split a descriptor between the two summands of a direct sum.
-
-    Direct sums live on the grid by interleaving columns, even columns
-    carrying the left component and odd ones the right.
-    """
-    sides: tuple = (([], [], []), ([], [], []))
-    for first, last in d.columns:
-        # the even columns 2k of a run, then its odd columns 2k + 1
-        for side, lo, hi in ((0, (first + 1) // 2, last // 2), (1, first // 2, (last - 1) // 2)):
-            if lo <= hi:
-                sides[side][0].append((lo, hi))
-    for c, s in d.tails:
-        sides[c % 2][1].append((c // 2, s))
-    for c, r in d.points:
-        sides[c % 2][2].append((c // 2, r))
-    return tuple(_canonical(*part) for part in sides)
-
-
-_ALWAYS_CONTAIN = {"WR", "WRpi", "ED", "EDup", "FinxFin"}
-_FINITE_ONLY = {"Fin", "EmptyxFin"}
+_ALWAYS_CONTAIN = {"WR", "WRpi", "ED", "EDup"}
 
 
 def descriptor_in_ideal(ideal: IdealPresentation, d: SetDescriptor) -> bool:
@@ -269,85 +206,12 @@ def descriptor_in_ideal(ideal: IdealPresentation, d: SetDescriptor) -> bool:
 
     Columns and tails are inside (or covered by) single generators of the
     line-generated families, and finite sets are in everything, so any
-    descriptor is a member there.  The sets finite on every column reject
-    descriptors with a column or tail atom, and composites delegate.
+    descriptor is a member there.  Fin rejects descriptors with a column
+    or tail atom.
     """
     fam = ideal.family
     if fam in _ALWAYS_CONTAIN:
         return True
-    if fam in _FINITE_ONLY:
+    if fam == "Fin":
         return d.is_finite()
-    if fam == "sum":
-        dl, dr = split_by_parity(d)
-        return descriptor_in_ideal(ideal.left, dl) and descriptor_in_ideal(ideal.right, dr)
-    if fam == "restrict":
-        return descriptor_in_ideal(ideal.base, d.intersect(ideal.carrier))
     raise IdealError(f"no symbolic membership for {fam!r}")
-
-
-# ---------------------------------------------------------------------------
-# dense subsets
-
-
-def dense_subset(
-    ideal: IdealPresentation,
-    universe,
-    n: int,
-    *,
-    min_col: int = 0,
-) -> tuple[Point, ...]:
-    """A size-n subset of an infinite set lying inside one generator.
-
-    Descriptor universes: a column met infinitely often supplies n of its
-    points.  Rule universes (membership callables): a greedy chain is
-    grown in the family's chain order (grid.sparse_before for WR,
-    grid.ranked for WRpi), each next point the lexicographically least
-    member that comes after the previous one.  The chain is grown in
-    the 512 columns from min_col, and outputs are prefixes of each
-    other as n increases.
-    """
-    if ideal.family == "WR":
-        before = sparse_before
-    elif ideal.family == "WRpi":
-        before = ranked(ideal.rank_map)
-    else:
-        raise IdealError("dense subsets are implemented for the chain families only")
-    if n <= 0:
-        return ()
-
-    if isinstance(universe, SetDescriptor):
-        # the first column met infinitely often at or after min_col: the
-        # first run reaching min_col, or the first tail there
-        runs, tails = universe.columns, universe.tails
-        k = bisect_left(runs, min_col, key=itemgetter(1))
-        t = bisect_left(tails, (min_col,))
-        firsts = [(max(runs[k][0], min_col), 0)] if k < len(runs) else []
-        firsts += tails[t : t + 1]
-        if not firsts:
-            raise ValueError("finite input set")
-        c, start = min(firsts)
-        return tuple((c, start + i) for i in range(n))
-
-    member: Callable[[Point], bool] = universe
-    row_cap = max(8 * n, 64)
-    hi = min_col + 512
-
-    def least_member(col_from: int, admissible: Callable[[Point], bool]) -> Point | None:
-        for c in range(col_from, hi):
-            for r in range(row_cap):
-                p = (c, r)
-                if member(p) and admissible(p):
-                    return p
-        return None
-
-    seed = least_member(min_col, lambda p: True)
-    if seed is None:
-        raise ValueError("no member found within the search bound")
-    chain = [seed]
-    while len(chain) < n:
-        prev = chain[-1]
-        nxt = least_member(max(prev[0] + 1, min_col), lambda p: before(prev, p))
-        if nxt is None:
-            raise ValueError("chain search exhausted within 512 columns of min_col")
-        chain.append(nxt)
-    return tuple(chain)

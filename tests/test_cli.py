@@ -148,6 +148,19 @@ def test_mon_extract_and_verify():
     assert code == 2 and json.loads(out)["ok"] is False
 
 
+def test_mon_extract_reports_the_reversed_pass_error():
+    # nonincreasing columns that run out of depth: the error is the
+    # reversed pass's, as for the nondecreasing mirror
+    for mode, limits in (("nonincreasing", range(40, 25, -1)), ("nondecreasing", range(1, 16))):
+        columns = [{"mode": mode, "limit": str(v)} for v in limits]
+        code, out = run_cli(
+            ["mon", "extract", "--target-len", "8", "--level", "3"],
+            json.dumps({"columns": columns, "depth": 3}),
+        )
+        assert code == 1
+        assert json.loads(out) == {"error": "column 2 exhausted at depth 3 while placing point 2"}
+
+
 def test_malformed_json_diagnostics():
     code, out = run_cli(["phi", "--ideal", "WR"], "not json")
     assert code == 1

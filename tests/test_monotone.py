@@ -20,7 +20,6 @@ from gridideals import (
     sparse_chain_cover_number,
     verify_certificate,
 )
-from gridideals import monotone
 from support import (
     MON_FAMILY_MAKERS,
     family_dual_decreasing,
@@ -169,11 +168,11 @@ def test_resource_exhaustion_carries_prefix():
     assert cert is not None
     assert len(cert.points) < 12
     assert (cert.case, cert.direction) == ("constant-terms-constant", "nondecreasing-constant")
-    # extract_mon raises the primary error, so the dual prefix is read directly
+    # the +1 pass finds no case here, so the reversed pass's error is raised
     fam = family_dual_decreasing(random.Random(3), 30)
     short = SequenceFamily(fam.columns, depth=3)
-    with pytest.raises(ExtractionError) as err:
-        monotone._extract(WEDGE_ZIGZAG, short, 9, 2, -1)
+    with pytest.raises(ExtractionError, match="column 3 exhausted at depth 3") as err:
+        extract_mon(WEDGE_ZIGZAG, short, 9, 2)
     cert = err.value.certificate
     assert (cert.case, cert.direction) == ("limits-increasing-dual", "decreasing")
     assert cert.points == ((0, 3), (1, 4), (2, 6)) and cert.witnesses == ()
@@ -253,7 +252,7 @@ def test_nonidentity_jmap():
 # at 20 columns, each as is and mirrored, at target (8, 3) and depth 512,
 # and for seeds 0-9 at depth 3 too, where the walks run out: the
 # certificate JSON, or the error's type, text and prefix certificate
-MON_DIGEST = "f7439f6214172a754caabae3b51deed99c4bcfebfcaf344df0f8060aaa7a9925"
+MON_DIGEST = "2a60ee886ee087b831923977cbbb092159fbfede1e1faf00bbd75bbbca944b9d"
 
 
 def test_extractions_match_recorded_digest():

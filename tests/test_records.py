@@ -44,7 +44,7 @@ REPRS = {
     "CoverCertificate": "CoverCertificate(parts=(CoverPart(kind='sparse-chain', members=((0, 5), (1, 4))),))",
     "SparsityWitness": "SparsityWitness(points=((0, 5), (1, 4)), level=1)",
     "SetDescriptor": "SetDescriptor(columns=((1, 2), (5, 5)), tails=((7, 3),), points=frozenset({(9, 9)}))",
-    "IdealPresentation": "IdealPresentation(family='WRpi', rank_map=RankMap(name='max-rank', fn=<function <lambda>>, preimages_fn=<function _max_preimages>), left=None, right=None, base=None, carrier=None)",
+    "IdealPresentation": "IdealPresentation(family='WRpi', rank_map=RankMap(name='max-rank', fn=<function <lambda>>, preimages_fn=<function _max_preimages>))",
     "RankMap": "RankMap(name='skew-rank', fn=<function <lambda>>, preimages_fn=<function _skew_preimages>)",
     "IndexPointMap": "IndexPointMap(name='wedge-zigzag', to_point=<function wedge_zigzag_point>, to_index=<function wedge_zigzag_index>)",
     "PartitionEmbedding": "PartitionEmbedding(class_of=<function dyadic_class>, window=8)",
@@ -53,7 +53,7 @@ REPRS = {
     "SequenceFamily": "SequenceFamily(columns=(ColumnSpec(mode='nondecreasing', limit=Fraction(3, 2), term=<built-in function abs>, jmap=<function _identity>, threshold=0),), depth=24)",
     "MonCertificate": "MonCertificate(indices=(0, 3), points=((0, 0), (1, 1)), direction='increasing', witnesses=(SparsityWitness(points=((0, 0),), level=0),), case='')",
     "VerifyResult": "VerifyResult(ok=False, reasons=('index order',))",
-    "GameState": "GameState(presentation=IdealPresentation(family='WR', rank_map=None, left=None, right=None, base=None, carrier=None), moves=[(SetDescriptor(columns=(), tails=(), points=frozenset()), (0, 1))], seed=7)",
+    "GameState": "GameState(presentation=IdealPresentation(family='WR', rank_map=None), moves=[(SetDescriptor(columns=(), tails=(), points=frozenset()), (0, 1))], seed=7)",
     "DecompositionReport": "DecompositionReport(remainder_preimage=((1, 2),), block_preimage_even=(), block_preimage_odd=((3, 4),), remainder_ok=True, even_ok=True, odd_ok=False)",
 }
 
