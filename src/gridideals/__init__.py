@@ -22,7 +22,7 @@ _EXPORTS = {
         """,
         "game": """
             FiniteTree GameError GameState blocking_strategy coloring_to_tree
-            least_lex_opponent play random_opponent scripted_opponent transcript_json verdict
+            least_lex_opponent play random_opponent transcript_json verdict
         """,
         "grid": """
             Point canonical_points is_ranked_chain is_sparse_chain point_sum
@@ -40,8 +40,7 @@ _EXPORTS = {
             verify_certificate
         """,
         "presentations": """
-            ED EDUP FIN WR IdealPresentation SetDescriptor column column_tail
-            descriptor_in_ideal empty_set finite_points pick_outside wr_pi
+            ED EDUP FIN WR IdealPresentation SetDescriptor descriptor_in_ideal pick_outside wr_pi
         """,
         "transfer": """
             ChainTransfer DecompositionReport TransferError build_chain_transfer

@@ -326,6 +326,8 @@ def _verify_map(name: str, window: int) -> list[str]:
 def _cmd_game(args) -> int:
     from . import game
 
+    if args.exact and args.ideal != "WR":
+        raise CliError("--exact needs --ideal WR")
     ideal = _ideal_from_args(args)
     if args.opponent == "random":
         opponent = game.random_opponent(args.seed)
@@ -427,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--rounds", type=int, default=20)
     gp.add_argument("--opponent", default="random", choices=["random", "least-lex"])
     gp.add_argument("--seed", type=int, default=0)
-    gp.add_argument("--exact", action="store_true", help="block exact color sections")
+    gp.add_argument("--exact", action="store_true", help="block exact color sections (WR only)")
     gp.set_defaults(fn=_cmd_game)
 
     p = sub.add_parser("mon", help="extract or verify monotone certificates")

@@ -190,10 +190,6 @@ def _exact_sections(picks: tuple[Point, ...]) -> SetDescriptor:
     return SetDescriptor(tuple(runs), tuple(tails), frozenset())
 
 
-def empty_strategy(state: GameState) -> SetDescriptor:
-    return SetDescriptor.build()
-
-
 def least_lex_opponent(state: GameState, blocked: SetDescriptor) -> Point:
     return pick_outside(blocked)
 
@@ -229,18 +225,6 @@ def random_opponent(seed: int):
             if not contains(p):
                 return p
         return pick_outside(blocked, beyond=hi)
-
-    return opponent
-
-
-def scripted_opponent(points: Iterable[Point]):
-    script = iter(points)
-
-    def opponent(state: GameState, blocked: SetDescriptor) -> Point:
-        try:
-            return next(script)
-        except StopIteration:
-            raise GameError("script exhausted") from None
 
     return opponent
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .covering import IdealError
 from .grid import Point, canonical_points
@@ -38,7 +38,26 @@ class SetDescriptor(NamedTuple):
     def build(columns=(), tails=(), points=()) -> "SetDescriptor":
         """The canonical descriptor of the given whole columns (column
         numbers, not runs), tails (column, first row) and points."""
-        return _canonical(((c, c) for c in columns), tails, points)
+        pts = frozenset(points)
+        lowest: dict[int, int] = {}
+        for c, start in tails:
+            lowest[c] = min(start, lowest.get(c, start))
+        for c, start in lowest.items():
+            while start > 0 and (c, start - 1) in pts:
+                start -= 1
+            lowest[c] = start
+        cols = set(columns).union(c for c, start in lowest.items() if start <= 0)
+        kept = {c: start for c, start in sorted(lowest.items()) if c not in cols}
+        runs: list[tuple[int, int]] = []
+        for c in sorted(cols):
+            if runs and c == runs[-1][1] + 1:
+                runs[-1] = (runs[-1][0], c)
+            else:
+                runs.append((c, c))
+        pts = frozenset(
+            (c, r) for c, r in pts if c not in cols and not (c in kept and r >= kept[c])
+        )
+        return SetDescriptor(tuple(runs), tuple(kept.items()), pts)
 
     def contains(self, p: Point) -> bool:
         # the first run is tried before any search: a blocking wall is
@@ -65,13 +84,6 @@ class SetDescriptor(NamedTuple):
                 return True
         return p in self.points
 
-    def union(self, other: "SetDescriptor") -> "SetDescriptor":
-        return _canonical(
-            self.columns + other.columns, self.tails + other.tails, self.points | other.points
-        )
-
-    __or__ = union
-
     def is_finite(self) -> bool:
         return not self.columns and not self.tails
 
@@ -81,68 +93,6 @@ class SetDescriptor(NamedTuple):
             "tails": [list(t) for t in self.tails],
             "points": [list(p) for p in canonical_points(self.points)],
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "SetDescriptor":
-        runs = [tuple(run) for run in obj.get("columns", ())]
-        for first, last in runs:
-            if last < first:
-                raise ValueError(f"column run [{first}, {last}] ends before it starts")
-        return _canonical(
-            runs,
-            [tuple(t) for t in obj.get("tails", ())],
-            [tuple(p) for p in obj.get("points", ())],
-        )
-
-
-def _on_run(runs, c: int) -> bool:
-    """Whether column c lies on one of the sorted, disjoint runs."""
-    k = bisect_left(runs, c, key=itemgetter(1))  # the first run not wholly before c
-    return k < len(runs) and runs[k][0] <= c
-
-
-def _canonical(runs, tails, points) -> SetDescriptor:
-    """The canonical descriptor (see SetDescriptor) of column runs
-    (first, last), tails (column, first row) and points, in
-    O(atoms log atoms): no run is expanded into its columns."""
-    pts = frozenset(points)
-    lowest: dict[int, int] = {}
-    for c, start in tails:
-        lowest[c] = min(start, lowest.get(c, start))
-    runs = list(runs)
-    for c, start in lowest.items():
-        while start > 0 and (c, start - 1) in pts:
-            start -= 1
-        lowest[c] = start
-        if start <= 0:
-            runs.append((c, c))
-    merged: list[tuple[int, int]] = []
-    for first, last in sorted(runs):
-        if merged and first <= merged[-1][1] + 1:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], last))
-        else:
-            merged.append((first, last))
-    kept = {c: s for c, s in sorted(lowest.items()) if s > 0 and not _on_run(merged, c)}
-    pts = frozenset(
-        (c, r) for c, r in pts if not _on_run(merged, c) and not (c in kept and r >= kept[c])
-    )
-    return SetDescriptor(tuple(merged), tuple(kept.items()), pts)
-
-
-def empty_set() -> SetDescriptor:
-    return SetDescriptor.build()
-
-
-def column(c: int) -> SetDescriptor:
-    return SetDescriptor.build(columns=(c,))
-
-
-def column_tail(c: int, start: int) -> SetDescriptor:
-    return SetDescriptor.build(tails=((c, start),))
-
-
-def finite_points(points: Iterable[Point]) -> SetDescriptor:
-    return SetDescriptor.build(points=points)
 
 
 def pick_outside(d: SetDescriptor, beyond: int = -1) -> Point:
@@ -154,7 +104,7 @@ def pick_outside(d: SetDescriptor, beyond: int = -1) -> Point:
     """
     runs = d.columns
     tails = dict(d.tails)
-    c = beyond + 1
+    c = max(beyond + 1, 0)
     k = bisect_left(runs, c, key=itemgetter(1))  # the first run not wholly before c
     while True:
         if k < len(runs) and runs[k][0] <= c:
@@ -181,11 +131,6 @@ class IdealPresentation(NamedTuple):
 
     family: str
     rank_map: RankMap | None = None
-
-    def describe(self) -> str:
-        if self.family == "WRpi":
-            return f"WRpi({self.rank_map.name})"
-        return self.family
 
 
 FIN = IdealPresentation("Fin")

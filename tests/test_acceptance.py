@@ -319,3 +319,35 @@ def test_criterion_10_wr_tree_branches_are_chains():
             tight += cost == bound
     _report(10, f"{branches} tree branches cost 1; {nodes} ramifications meet their "
                 f"column bound, {tight} of them exactly")
+
+
+# the largest window side criterion 11 checks
+RAMSEY_SIDE = 12
+
+
+def test_criterion_11_wr_is_not_2_ramsey():
+    """The finite shadow of "WR is not 2-Ramsey": some 2-coloring of pairs
+    has no WR-positive homogeneous set.  This reading, and the argument,
+    are the roadmap's own.  Under sparse_pair_color, a color-0 homogeneous
+    set is one sparse chain.  In a color-1 set the spans [c, c+r] pairwise
+    overlap, so by Helly's theorem on the line they share a column x: every
+    point lies in the columns at or below x, and x is at most the least
+    coordinate sum s.  A chain then holds one point, so the set costs its
+    column count in WR, at most s + 1, and even an infinite one is in WR.
+
+    On every window up to RAMSEY_SIDE the maximal color-1 set of each
+    column x is H_x, the points whose span contains x.  It is pairwise
+    color 1, its columns stop at its least coordinate sum, and it costs
+    its x + 1 columns.
+    """
+    windows = 0
+    for w in range(1, RAMSEY_SIDE + 1):
+        for x in range(w):
+            h = [(c, r) for c in range(w) for r in range(w) if c <= x <= c + r]
+            assert all(sparse_pair_color(a, b) == 1 for a, b in combinations(h, 2)), (w, x)
+            columns = {c for c, _ in h}
+            assert max(columns) == min(map(point_sum, h)) == x, (w, x)
+            assert phi_cost("WR", h) == len(columns) == x + 1, (w, x)
+            windows += 1
+    _report(11, f"{windows} maximal color-1 sets on windows of side up to {RAMSEY_SIDE} "
+                f"cost their column count in WR, at most the least coordinate sum plus one")

@@ -42,13 +42,15 @@ RANKS = "['diag-rank', 'max-rank', 'offset-rank', 'skew-rank']"
         (["oracle", "cover", "--kinds", "ranked-chain"], f"a ranked-chain cover needs --rank, one of {RANKS}"),
         (["game", "play", "--rank", "nosuch"], f"unknown rank map 'nosuch'; choose from {RANKS}"),
         (["game", "play", "--ideal", "WRpi"], f"WRpi needs --rank, one of {RANKS}"),
+        (["game", "play", "--ideal", "WRpi", "--rank", "diag-rank", "--exact"],
+         "--exact needs --ideal WR"),
         (["sigma", "build", "--pi", "nosuch", "--pi0", "diag-rank"],
          f"unknown rank map 'nosuch'; choose from {RANKS}"),
         (["sigma", "build", "--pi", "diag-rank", "--pi0", "nosuch"],
          f"unknown rank map 'nosuch'; choose from {RANKS}"),
     ],
     ids=["phi-WRpi", "phi-WR", "oracle-sparse-chain", "oracle-ranked-chain", "oracle-no-rank",
-         "game-WR", "game-no-rank", "sigma-pi", "sigma-pi0"],
+         "game-WR", "game-no-rank", "game-exact-WRpi", "sigma-pi", "sigma-pi0"],
 )
 def test_rank_names_are_checked(argv, error):
     assert run_cli(argv, "[[0,1],[2,3]]") == (1, json.dumps({"error": error}) + "\n")

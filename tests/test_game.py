@@ -14,25 +14,21 @@ from gridideals import (
     FiniteTree,
     GameError,
     GameState,
+    SetDescriptor,
     blocking_strategy,
     coloring_to_tree,
-    column,
     descriptor_in_ideal,
-    empty_set,
-    finite_points,
     is_sparse_chain,
     least_lex_opponent,
     phi_cost,
     play,
     random_opponent,
-    scripted_opponent,
     sparse_pair_color,
     transcript_json,
     verdict,
     wr_pi,
 )
 from gridideals import game
-from gridideals.game import empty_strategy
 from support import (
     json_descriptor_contains,
     reference_blocking_strategy,
@@ -44,10 +40,10 @@ from support import (
 def test_strategy_descriptor_shapes():
     strat = blocking_strategy()
     state = GameState(WR)
-    assert strat(state) == empty_set()
-    state.moves.append((empty_set(), (0, 0)))
-    assert strat(state) == column(0) | finite_points([(0, 0)])
-    state.moves.append((empty_set(), (1, 7)))
+    assert strat(state) == SetDescriptor()
+    state.moves.append((SetDescriptor(), (0, 0)))
+    assert strat(state) == SetDescriptor.build([0], (), [(0, 0)])
+    state.moves.append((SetDescriptor(), (1, 7)))
     d = strat(state)
     assert d.columns == ((0, 8),)
 
@@ -60,7 +56,8 @@ def test_least_lex_match():
 
 
 def test_column_spammer_defeats_empty_strategy():
-    state = play(WR, empty_strategy, scripted_opponent([(0, 0), (0, 1), (0, 2)]), 3)
+    script = iter([(0, 0), (0, 1), (0, 2)])
+    state = play(WR, lambda state: SetDescriptor(), lambda state, blocked: next(script), 3)
     assert state.picks() == ((0, 0), (0, 1), (0, 2))
     assert not verdict(state)["sparse_chain"]
 
@@ -86,7 +83,7 @@ def test_exact_sections_also_win():
 def test_exact_sections_block_exactly_color_one():
     strat = blocking_strategy(exact=True)
     state = GameState(WR)
-    state.moves.append((empty_set(), (3, 2)))
+    state.moves.append((SetDescriptor(), (3, 2)))
     d = strat(state)
     for c in range(12):
         for r in range(12):
@@ -116,7 +113,7 @@ def test_illegal_strategy_is_caught():
         play(WR, strat, cheating_player_two, 2)
 
     def cheating_player_one(state):
-        return column(0)  # fine for WR, illegal for Fin
+        return SetDescriptor.build([0])  # fine for WR, illegal for Fin
 
     with pytest.raises(GameError, match="player one"):
         play(FIN, cheating_player_one, least_lex_opponent, 1)
@@ -127,12 +124,12 @@ def test_rounds_past_the_cap_are_refused():
 
     def player_one(state):
         calls.append(state.round)
-        return empty_set()
+        return SetDescriptor()
 
     with pytest.raises(ValueError, match=str(game.MAX_ROUNDS)):
         play(WR, player_one, least_lex_opponent, game.MAX_ROUNDS + 1)
     assert calls == []
-    assert play(WR, empty_strategy, least_lex_opponent, game.MAX_ROUNDS).round == game.MAX_ROUNDS
+    assert play(WR, player_one, least_lex_opponent, game.MAX_ROUNDS).round == game.MAX_ROUNDS
 
 
 @pytest.mark.parametrize("rounds", [-1, -3])
@@ -178,13 +175,13 @@ def test_strategy_matches_reference_in_any_call_order(exact, sequences, calls):
     reference = reference_blocking_strategy(exact=exact)
     for which, length, ideal_index in calls:
         picks = sequences[which % len(sequences)][:length]
-        state = GameState(GAME_IDEALS[ideal_index], [(empty_set(), p) for p in picks])
-        assert strategy(state) == reference(state), (state.presentation.describe(), picks)
+        state = GameState(GAME_IDEALS[ideal_index], [(SetDescriptor(), p) for p in picks])
+        assert strategy(state) == reference(state), (state.presentation, picks)
     for ideal in GAME_IDEALS:
         state = GameState(ideal)
         for p in sequences[0]:
-            state.moves.append((empty_set(), p))
-            assert strategy(state) == reference(state), (ideal.describe(), state.picks())
+            state.moves.append((SetDescriptor(), p))
+            assert strategy(state) == reference(state), (ideal, state.picks())
 
 
 _SWITCH = [[(0, 0), (3, 3), (1, 1)], [(0, 0), (0, 0), (1, 1), (0, 0)]]
@@ -218,17 +215,17 @@ def test_opponent_matches_reference_in_any_call_order(seed, sequences, calls):
     # The reference rescans every pick on each call
     opponent = random_opponent(seed)
     reference = reference_random_opponent(seed)
-    shared = {p: (empty_set(), p) for seq in sequences for p in seq}
+    shared = {p: (SetDescriptor(), p) for seq in sequences for p in seq}
     states = [GameState(WR) for _ in range(3)]
     walls = reference_blocking_strategy()
     for which_state, which_seq, length, fresh, walled in calls:
         state = states[which_state]
         if fresh:
             picks = sequences[which_seq % len(sequences)][:length]
-            state.moves[:] = [(empty_set(), p) for p in picks]
+            state.moves[:] = [(SetDescriptor(), p) for p in picks]
         else:
             state.moves[:] = [shared[p] for p in sequences[which_state % len(sequences)][:length]]
-        blocked = walls(state) if walled else empty_set()
+        blocked = walls(state) if walled else SetDescriptor()
         assert opponent(state, blocked) == reference(state, blocked), state.picks()
 
 
@@ -289,7 +286,7 @@ def test_transcripts_grow_linearly():
             len(json.dumps(transcript_json(GameState(ideal, state.moves[:n], 7))))
             for n in (100, 400)
         ]
-        assert sizes[1] <= 4.5 * sizes[0], (ideal.describe(), sizes)
+        assert sizes[1] <= 4.5 * sizes[0], (ideal, sizes)
 
 
 # ---------------------------------------------------------------------------

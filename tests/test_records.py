@@ -29,7 +29,9 @@ def _records():
             (0, 3), ((0, 0), (1, 1)), "increasing", (covering.SparsityWitness(((0, 0),), 0),)
         ),
         "VerifyResult": monotone.VerifyResult(False, ("index order",)),
-        "GameState": game.GameState(presentations.WR, [(presentations.empty_set(), (0, 1))], 7),
+        "GameState": game.GameState(
+            presentations.WR, [(presentations.SetDescriptor(), (0, 1))], 7
+        ),
         "DecompositionReport": transfer.DecompositionReport(
             ((1, 2),), (), ((3, 4),), True, True, False
         ),
@@ -90,7 +92,7 @@ def test_records_differ_by_value():
 
 def test_game_state_constructors():
     wr = presentations.WR
-    moves = [(presentations.empty_set(), (0, 1))]
+    moves = [(presentations.SetDescriptor(), (0, 1))]
     state = game.GameState(wr)
     assert state.moves == [] and state.seed is None and state.round == 0
     assert game.GameState(wr).moves is not state.moves
