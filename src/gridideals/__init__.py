@@ -21,8 +21,8 @@ _EXPORTS = {
             sparsity_witness
         """,
         "game": """
-            FiniteTree GameError GameState blocking_strategy coloring_to_tree
-            least_lex_opponent play random_opponent transcript_json verdict
+            GameError GameState blocking_strategy coloring_tree least_lex_opponent play
+            random_opponent transcript_json verdict
         """,
         "grid": """
             Point canonical_points is_ranked_chain is_sparse_chain point_sum

@@ -315,9 +315,7 @@ def _verify_map(name: str, window: int) -> list[str]:
             if upper != (n % 2 == 0):
                 failures.append(f"parity class wrong at index {n}")
     elif name in gridmaps.RANK_CATALOG:
-        failures.extend(
-            gridmaps.validate_rank_map(gridmaps.RANK_CATALOG[name], values=window, window=window + 32)
-        )
+        failures.extend(gridmaps.validate_rank_map(gridmaps.RANK_CATALOG[name], window))
     else:
         raise CliError(f"unknown map {name!r}")
     return failures
@@ -376,9 +374,7 @@ def _cmd_sigma(args) -> int:
             "edges": list(built.m),
             "adjusted": built.adjusted,
             "stalled": list(built.stalled),
-            "table": [
-                [list(p), list(q)] for p, q in built.table(args.window, args.window)
-            ],
+            "table": [[list(p), list(q)] for p, q in built.table(args.window)],
         }
     )
     return 0

@@ -18,7 +18,8 @@ nondecreasing graphs also have an antichain routine, points that need
 one chain each, as many as the partition has chains by Dilworth's
 theorem, and the search cuts its branches with them too.  The search is
 exponential in the worst case and stops with ``SearchScaleError`` past
-``MAX_SEARCH_NODES`` nodes.
+``MAX_SEARCH_WORK`` steps: one per node, and one per point at each node
+that lists the points off its lines.
 
 A point set is canonicalised (deduplicated, sorted by (col, row)) once,
 at the public call; the partitions, antichains and line search below it
@@ -51,10 +52,12 @@ RANKED_CHAIN = "ranked-chain"
 
 ORACLE_LIMIT = 16
 
-# The line search stops past MAX_SEARCH_NODES nodes: the seeded cover
-# ladder needs at most 2,991 and 40-point WR sets in a 28x28 box at most
-# 19,002.
-MAX_SEARCH_NODES = 1_000_000
+# The line search stops past MAX_SEARCH_WORK steps.  A node that lists the
+# points off its lines costs time linear in the point count, so it is
+# charged that many steps; a node that only takes a line is one step.  The
+# seeded cover ladder needs at most 56,664 steps (18 WR points) and 40-point
+# WR sets in a 28x28 box at most 757,481.
+MAX_SEARCH_WORK = 8_000_000
 
 # The generator kinds; the oracle labels a block that fits several with
 # the first of them.
@@ -461,8 +464,10 @@ def _best_lines(
     ranked chains pass no antichain, as the one known for them is the
     most populated column.  For graphs the multiplicity bound is the
     cheapest cover below the node, so every node kept has a strictly
-    better leaf below it and the search is polynomial.  Past
-    ``MAX_SEARCH_NODES`` nodes the search raises ``SearchScaleError``.
+    better leaf below it and the search is polynomial.  A node is one
+    step, and a node that lists the points off its lines adds one step
+    per point; past ``MAX_SEARCH_WORK`` steps the search raises
+    ``SearchScaleError``.
     """
     groups = _column_groups(pts)
     cols = sorted(groups)
@@ -470,7 +475,7 @@ def _best_lines(
     mults = [len(groups[c]) for c in cols]
     by_size = sorted(mults, reverse=True) + [0]
     best_lines, best_chains = (), partition(pts)
-    best, nodes = len(best_chains), 1
+    best, work = len(best_chains), 0
     for size in range(1, n + 1):
         if size + by_size[size] >= best:
             continue
@@ -488,11 +493,11 @@ def _best_lines(
             frame[1] = i + 1
             if mults[i] > passed_mult:
                 frame[2] = mults[i]
-            nodes += 1
-            if nodes > MAX_SEARCH_NODES:
+            work += 1
+            if work > MAX_SEARCH_WORK:
                 raise SearchScaleError(
                     f"covering search bound exceeded: {family}, {len(pts)} points"
-                    f" in {n} columns, more than {MAX_SEARCH_NODES} nodes"
+                    f" in {n} columns, more than {MAX_SEARCH_WORK} steps"
                 )
             if passed_mult >= best - size or heavy[i + 1] > need:
                 continue
@@ -500,6 +505,7 @@ def _best_lines(
             if need and antichain is None:
                 frames.append([lines, i + 1, passed_mult])
                 continue
+            work += len(pts)
             line_set = set(lines)
             live = [p for p in pts if p[0] not in line_set]
             if need == 0:

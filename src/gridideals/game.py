@@ -4,18 +4,18 @@ Player one plays a set from the ideal each round, player two answers
 with a point outside it, and player one aims to trap the picks inside a
 single ideal set.  For the chain families the blocking strategy walls
 off every column a future pick could pair up with, so the picks always
-form one chain generator.  The module also builds the finite trees of
-Laflamme's game from a pair coloring: below each chosen point a node
-keeps the points of the large color class.  Under the sparse coloring
-every branch is one sparse chain, while a window's root ramification
-needs one generator per column (the finite shadow of WR not being
-weakly Ramsey).
+form one chain generator.  The module also walks the finite trees of
+Laflamme's game from a pair coloring, node by node: below each chosen
+point a node keeps the points colored 0 with it.  Under the sparse
+coloring every branch is one sparse chain, while a window's root
+ramification needs one generator per column (the finite shadow of WR
+not being weakly Ramsey).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable
+from typing import Callable
 
 from .covering import IdealError, phi_cost
 from .grid import Point, is_sparse_chain, point_sum, window_points
@@ -281,73 +281,33 @@ def transcript_json(state: GameState) -> dict:
 # trees built from colorings
 
 
-class FiniteTree:
-    """Lazily materialized tree of chosen-point sequences.
+def coloring_tree(coloring: Callable[[Point, Point], int], depth: int, window: int):
+    """Walk the tree of Laflamme's game on the window x window points, cut
+    at depth, yielding each node (its chosen points) with its
+    ramification (its children's last points, sorted).
 
-    The children of a node are exactly the members of its ramification;
-    materialized nodes stay prefix closed by construction.
+    The root's ramification is every point.  Below a chosen point it is
+    the parent's ramification less that point, keeping only the points
+    colored 0 with it, and at depth it is empty, so the nodes with an
+    empty ramification are the branches.  Nodes come root first, then
+    depth first in sorted order; a ramification is computed when the walk
+    reaches its node, and an explicit stack stands in for recursion.
     """
-
-    def __init__(self, root_ramification: Iterable[Point], child_rule, depth: int = 0):
-        self._ram: dict[tuple, frozenset] = {(): frozenset(root_ramification)}
-        self._rule = child_rule
-        self.depth = depth
-
-    def ramification(self, node: Iterable[Point]) -> frozenset:
-        node = tuple(node)
-        known = len(node)
-        while node[:known] not in self._ram:
-            known -= 1
-        for n in range(known + 1, len(node) + 1):
-            parent = node[: n - 1]
-            parent_ram = self._ram[parent]
-            if node[n - 1] not in parent_ram:
-                raise KeyError(f"{node[:n]!r} is not a tree node")
-            self._ram[node[:n]] = self._rule(parent, parent_ram, node[n - 1])
-        return self._ram[node]
-
-    def nodes(self) -> list[tuple]:
-        return sorted(self._ram)
-
-    def branches(self, depth: int | None = None):
-        """All chosen-point sequences of the given length (shorter when a
-        ramification empties out first), depth first in sorted order."""
-        if depth is None:
-            depth = self.depth
-        node: tuple = ()
-        pending = []  # per level above node, the children not yet visited
-        while True:
-            ram = self.ramification(node) if len(node) != depth else None
-            if ram:
-                pending.append(iter(sorted(ram)))
-            else:
-                yield node
-            while pending:
-                nxt = next(pending[-1], None)
-                if nxt is not None:
-                    node = node[: len(pending) - 1] + (nxt,)
-                    break
-                pending.pop()
-            else:
-                return
-
-
-def coloring_to_tree(
-    coloring: Callable[[Point, Point], int],
-    small_class: Callable[[Point], int],
-    depth: int,
-    window: int,
-) -> FiniteTree:
-    """Tree on the window x window points whose ramification below a
-    chosen point keeps only its big color section: small_class names the
-    color class claimed small, and children survive in the opposite
-    class."""
-    pts = frozenset(window_points(window))
-
-    def rule(parent, parent_ram, chosen):
-        large = 1 - small_class(chosen)
-        return frozenset(
-            b for b in parent_ram if b != chosen and coloring(chosen, b) == large
-        )
-
-    return FiniteTree(pts, rule, depth)
+    node, ram = (), tuple(window_points(window)) if depth else ()
+    levels = []  # per level down to node: its ramification and the children not walked yet
+    while True:
+        yield node, ram
+        levels.append((ram, iter(ram)))
+        while levels:
+            parent, children = levels[-1]
+            chosen = next(children, None)
+            if chosen is None:
+                levels.pop()
+                continue
+            node = node[: len(levels) - 1] + (chosen,)
+            ram = () if len(node) == depth else tuple(
+                b for b in parent if b != chosen and coloring(chosen, b) == 0
+            )
+            break
+        else:
+            return

@@ -117,17 +117,18 @@ OFFSET_RANK = RankMap("offset-rank", _offset_value, _offset_preimages)
 RANK_CATALOG = {m.name: m for m in (DIAG_RANK, MAX_RANK, SKEW_RANK, OFFSET_RANK)}
 
 
-def validate_rank_map(rank: RankMap, values: int = 64, window: int = 96) -> list[str]:
+def validate_rank_map(rank: RankMap, window: int) -> list[str]:
     """Window-bounded checks that a rank map is onto and self-consistent.
 
-    Returns a list of problems; empty means no violation was found up to
-    the bounds.  Being finite-to-one cannot be decided on a window, so the
-    preimage enumeration is trusted to be complete and is cross-checked
-    against a scan of the window.
+    Returns a list of problems; empty means no violation was found for
+    the values below window, on the box of side window + 32.  Being
+    finite-to-one cannot be decided on a window, so the preimage
+    enumeration is trusted to be complete and is cross-checked against a
+    scan of the box.
     """
     problems = []
     declared: dict[int, set[Point]] = {}
-    for v in range(values):
+    for v in range(window):
         pre = rank.preimages(v)
         if not pre:
             problems.append(f"value {v} has no preimage (not onto)")
@@ -135,12 +136,12 @@ def validate_rank_map(rank: RankMap, values: int = 64, window: int = 96) -> list
         if bad:
             problems.append(f"preimages of {v} include {bad[0]} with rank {rank(bad[0])}")
         declared[v] = set(pre)
-    for c in range(window):
-        for r in range(window):
+    for c in range(window + 32):
+        for r in range(window + 32):
             v = rank((c, r))
             if v < 0:
                 problems.append(f"negative rank at {(c, r)}")
-            elif v < values and (c, r) not in declared[v]:
+            elif v < window and (c, r) not in declared[v]:
                 problems.append(f"preimage enumeration of {v} misses {(c, r)}")
     return problems
 

@@ -28,10 +28,9 @@ from .grid import Point, longest_increasing
 class Infinity:
     """An exact infinite limit, INF or -INF.
 
-    It lies above (or below) every integer and Fraction, negates, and
-    stays itself when a finite value is subtracted, which an eventually
-    constant column's terms before its threshold do.  No float enters a
-    comparison with it.  Immutable; equal and hashed by its sign.
+    It lies above (or below) every integer and Fraction and negates.  No
+    float enters a comparison with it.  Immutable; equal and hashed by
+    its sign.
     """
 
     __slots__ = ("sign",)
@@ -65,9 +64,6 @@ class Infinity:
 
     def __neg__(self) -> "Infinity":
         return Infinity(-self.sign)
-
-    def __sub__(self, other):
-        return self if isinstance(other, Rational) else NotImplemented
 
 
 INF = Infinity()
@@ -377,17 +373,10 @@ def verify_certificate(cert: MonCertificate, index_map, family: SequenceFamily) 
     except DescriptorError as exc:
         reasons.append(str(exc))
     if values is not None:
-        pairs = list(zip(values, values[1:]))
-        if cert.direction == "increasing":
-            ok = all(a < b for a, b in pairs)
-        elif cert.direction == "decreasing":
-            ok = all(a > b for a, b in pairs)
-        elif cert.direction == "nondecreasing-constant":
-            ok = all(a == b for a, b in pairs)
-        else:
-            ok = False
+        step = _STEP.get(cert.direction)
+        if step is None:
             reasons.append(f"unknown direction {cert.direction!r}")
-        if not ok and f"unknown direction {cert.direction!r}" not in reasons:
+        elif not all(map(step, values, values[1:])):
             reasons.append("values break the declared direction")
     for w in cert.witnesses:
         if not _is_subsequence(w.points, cert.points):

@@ -153,10 +153,10 @@ class ChainTransfer(NamedTuple):
             return self.spi.get(q)
         return _even_source(self.m, self.arows, self.lows, q)
 
-    def table(self, cols: int, rows: int) -> list[tuple[Point, Point]]:
+    def table(self, window: int) -> list[tuple[Point, Point]]:
         out = []
-        for c in range(min(cols, self.col_bound)):
-            for r in range(rows):
+        for c in range(min(window, self.col_bound)):
+            for r in range(window):
                 out.append(((c, r), self.apply((c, r))))
         return out
 

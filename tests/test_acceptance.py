@@ -23,7 +23,7 @@ from gridideals import (
     blocking_strategy,
     brute_force_cover,
     build_chain_transfer,
-    coloring_to_tree,
+    coloring_tree,
     descriptor_in_ideal,
     dyadic_class,
     extract_mon,
@@ -306,15 +306,17 @@ def test_criterion_10_wr_tree_branches_are_chains():
     # full column costs one line or w chains
     branches = nodes = tight = 0
     for w, depth in [(w, 2) for w in range(6, 13)] + [(6, 3), (8, 3)]:
-        tree = coloring_to_tree(sparse_pair_color, lambda p: 1, depth, w)
-        for branch in tree.branches():
-            assert phi_cost("WR", branch) == 1, branch
-            branches += 1
-        assert phi_cost("WR", tree.ramification(())) == w
-        for node in tree.nodes():  # the root and every inner node
+        for node, ram in coloring_tree(sparse_pair_color, depth, w):
+            if not ram:
+                assert phi_cost("WR", node) == 1, node
+                branches += 1
+            if len(node) == depth:
+                continue
+            # the root and every inner node
             bound = max(0, w - 1 - max(map(point_sum, node), default=-1))
-            cost = phi_cost("WR", tree.ramification(node))
+            cost = phi_cost("WR", ram)
             assert cost >= bound, (w, node, cost)
+            assert node or cost == w  # the root: one generator per column
             nodes += 1
             tight += cost == bound
     _report(10, f"{branches} tree branches cost 1; {nodes} ramifications meet their "

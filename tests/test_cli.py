@@ -223,12 +223,12 @@ def test_vacuous_or_unbounded_runs_rejected(argv):
 
 
 def test_line_search_past_its_bound_is_a_json_error(monkeypatch):
-    monkeypatch.setattr(covering, "MAX_SEARCH_NODES", 3)
     pts = [[c, (5 * c) % 7] for c in range(10)] + [[c, 7] for c in range(0, 10, 2)]
+    monkeypatch.setattr(covering, "MAX_SEARCH_WORK", 45)
     code, out = run_cli(["phi", "--ideal", "EDup"], json.dumps(pts))
     assert code == 1
     assert json.loads(out) == {
-        "error": "covering search bound exceeded: EDup, 15 points in 10 columns, more than 3 nodes"
+        "error": "covering search bound exceeded: EDup, 15 points in 10 columns, more than 45 steps"
     }
 
 

@@ -12,6 +12,7 @@ import json
 import pathlib
 import re
 import sys
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -267,6 +268,44 @@ _EXTRACTABLE = {"columns": [{"mode": "nonincreasing", "limit": "1/2"}] * 5}
 def test_mon_extract_accepts_what_the_schema_accepts(payload):
     code = _assert_contract("mon-extract", payload)
     assert code == 0 or payload != _EXTRACTABLE
+
+
+_LIMITS = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+
+
+@st.composite
+def _extractable_descriptors(draw):
+    """5-9 columns of one mode that always offer the extractor a case:
+    eventually-constant columns that share one finite limit, or approach
+    columns whose limits, read with the nonincreasing side negated, rise,
+    stay level, or fall by at least 1, so each term clears the next
+    column's limit."""
+    n = draw(st.integers(5, 9))
+    if draw(st.booleans()):
+        limit = str(draw(_LIMITS))
+        return {"columns": [
+            {"mode": "eventually-constant", "limit": limit, "threshold": draw(st.integers(0, 20))}
+            for _ in range(n)
+        ]}
+    mode, sign = draw(st.sampled_from([("nondecreasing", 1), ("nonincreasing", -1)]))
+    steps = draw(st.sampled_from([
+        st.fractions(min_value=Fraction(1, 1000), max_value=3, max_denominator=1000),
+        st.just(0),
+        st.fractions(min_value=-3, max_value=-1, max_denominator=12),
+    ]))
+    limit, columns = draw(_LIMITS), []
+    for _ in range(n):
+        columns.append({"mode": mode, "limit": str(sign * limit)})
+        if draw(st.booleans()):
+            columns[-1]["style"] = "approach"
+        limit += draw(steps)
+    return {"columns": columns}
+
+
+@settings(max_examples=40, deadline=None)
+@given(payload=_extractable_descriptors())
+def test_mon_extract_answers_well_shaped_descriptors(payload):
+    assert _assert_contract("mon-extract", payload) == 0, payload
 
 
 # each kind of mutation, and the keywords whose rules it breaks

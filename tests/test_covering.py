@@ -436,8 +436,11 @@ def _reference_ed_certificate(pts):
 
 def test_ed_search_matches_the_closed_form(monkeypatch):
     # without the root cut of each size a w-column staircase takes
-    # w(w+1)/2 nodes; the sets below need at most 201
-    monkeypatch.setattr(covering, "MAX_SEARCH_NODES", 1000)
+    # w(w+1)/2 nodes; the sets below need at most 50,600 steps (the
+    # 400-column set lists its 50,200 points once), and they are searched
+    # under a bound of 100,000, below the default
+    assert covering.MAX_SEARCH_WORK >= 100_000
+    monkeypatch.setattr(covering, "MAX_SEARCH_WORK", 100_000)
     rng = random.Random(83)
     sets = _staircases(30) + _staircases(100)
     for _ in range(2000):
@@ -559,8 +562,8 @@ def test_phi_canonicalises_once(monkeypatch):
 
 def test_line_search_node_bound(monkeypatch):
     pts = random.Random(61).sample([(c, r) for c in range(12) for r in range(12)], 30)
-    monkeypatch.setattr(covering, "MAX_SEARCH_NODES", 3)
-    message = f"covering .*: WR, 30 points in {len({p[0] for p in pts})} columns"
+    monkeypatch.setattr(covering, "MAX_SEARCH_WORK", 90)
+    message = f"covering .*: WR, 30 points in {len({p[0] for p in pts})} columns, more than 90 steps"
     with pytest.raises(covering.SearchScaleError, match=message):
         phi(WR, pts)
     assert issubclass(covering.SearchScaleError, ValueError)
@@ -568,7 +571,7 @@ def test_line_search_node_bound(monkeypatch):
 
 @pytest.mark.parametrize("family", ["WR", "ED", "EDup"])
 def test_forty_points_solve_within_the_node_bound(monkeypatch, family):
-    monkeypatch.setattr(covering, "MAX_SEARCH_NODES", 50_000)
+    monkeypatch.setattr(covering, "MAX_SEARCH_WORK", 2_000_000)
     pool = [(c, r) for c in range(28) for r in range(28)]
     for seed in range(20):
         pts = random.Random(f"scale-{family}-{seed}").sample(pool, 40)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,12 +12,11 @@ from gridideals import (
     FIN,
     RANK_CATALOG,
     WR,
-    FiniteTree,
     GameError,
     GameState,
     SetDescriptor,
     blocking_strategy,
-    coloring_to_tree,
+    coloring_tree,
     descriptor_in_ideal,
     is_sparse_chain,
     least_lex_opponent,
@@ -26,6 +26,7 @@ from gridideals import (
     sparse_pair_color,
     transcript_json,
     verdict,
+    window_points,
     wr_pi,
 )
 from gridideals import game
@@ -294,46 +295,46 @@ def test_transcripts_grow_linearly():
 
 
 def test_tree_examples():
-    tree = coloring_to_tree(sparse_pair_color, lambda x: 1, 0, 8)
-    assert len(tree.ramification(())) == 64
-    after = tree.ramification(((0, 0),))
-    assert after == frozenset((c, r) for c in range(1, 8) for r in range(8))
-    const0 = coloring_to_tree(lambda a, b: 0, lambda x: 1, 2, 4)
-    ram = const0.ramification(((0, 0),))
-    assert ram == frozenset(p for p in const0.ramification(()) if p != (0, 0))
+    tree = dict(coloring_tree(sparse_pair_color, 2, 8))
+    assert tree[()] == tuple(window_points(8))
+    assert tree[((0, 0),)] == tuple((c, r) for c in range(1, 8) for r in range(8))
+    assert tree[((0, 0), (1, 0))] == ()  # cut at depth
+    const0 = dict(coloring_tree(lambda a, b: 0, 2, 4))
+    assert const0[((0, 0),)] == const0[()][1:]
+    assert list(coloring_tree(sparse_pair_color, 0, 8)) == [((), ())]
 
 
 def test_tree_branches_are_sparse_chains():
-    tree = coloring_to_tree(sparse_pair_color, lambda x: 1, 4, 8)
-    count = 0
-    for branch in tree.branches(4):
-        count += 1
-        assert is_sparse_chain(branch)
-    assert count > 0
-    # nodes materialized along the way stay prefix closed
-    nodes = set(tree.nodes())
-    assert all(n[:-1] in nodes for n in nodes if n)
-
-
-def test_tree_rejects_foreign_nodes():
-    tree = coloring_to_tree(sparse_pair_color, lambda x: 1, 2, 6)
-    with pytest.raises(KeyError):
-        tree.ramification(((0, 0), (0, 1)))
+    walk = list(coloring_tree(sparse_pair_color, 4, 8))
+    branches = [node for node, ram in walk if not ram]
+    assert branches and all(map(is_sparse_chain, branches))
+    # root first, then depth first in sorted order, each node once
+    nodes = [node for node, _ in walk]
+    assert nodes == sorted(set(nodes))
+    # a node's children are the members of its ramification, which is
+    # its parent's less the chosen point, keeping the sparse partners
+    tree = dict(walk)
+    children = Counter(node[:-1] for node in nodes if node)
+    for node, ram in walk:
+        assert children[node] == len(ram) and all(node + (p,) in tree for p in ram)
+        if node and len(node) < 4:
+            parent, chosen = tree[node[:-1]], node[-1]
+            assert ram == tuple(
+                b for b in parent if b != chosen and sparse_pair_color(chosen, b) == 0
+            )
 
 
 def test_tree_walks_independent_of_recursion_limit():
-    # one child per node, so the tree is one branch of 3,000 points
-    def one_branch():
-        return FiniteTree([(0, 0)], lambda parent, ram, chosen: frozenset({(chosen[0] + 1, 0)}),
-                          3000)
-
-    branch = tuple((c, 0) for c in range(3000))
+    # under the lexicographic coloring the first branch of a 55 x 55
+    # window takes the points in sorted order, 3,000 of them down to depth
+    points = window_points(55)
+    walk = coloring_tree(lambda a, b: int(a > b), 3000, 55)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 100)
     try:
-        deepest = one_branch().ramification(branch)
-        branches = list(one_branch().branches())
+        for n, (node, ram) in zip(range(3001), walk):
+            assert node == tuple(points[:n])
+            assert ram == (tuple(points[n:]) if n < 3000 else ())
     finally:
         sys.setrecursionlimit(old)
-    assert deepest == frozenset({(3000, 0)})
-    assert branches == [branch]
+    assert n == 3000

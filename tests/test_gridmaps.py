@@ -58,7 +58,7 @@ def test_rank_map_examples():
 
 def test_rank_maps_validate():
     for rank in (DIAG_RANK, MAX_RANK, SKEW_RANK, OFFSET_RANK):
-        assert validate_rank_map(rank, values=24, window=48) == []
+        assert validate_rank_map(rank, 24) == []
 
 
 def test_offset_rank_avoids_first_column_at_zero():

@@ -121,10 +121,12 @@ def test_witness_levels_complete():
 def test_tampered_certificates_fail():
     fam = _constant_family()
     cert = extract_mon(WEDGE_ZIGZAG, fam, 9, 3)
-    # break monotonicity by rewriting the direction
-    bad = MonCertificate(cert.indices, cert.points, "increasing", cert.witnesses, cert.case)
-    res = verify_certificate(bad, WEDGE_ZIGZAG, fam)
-    assert not res.ok and "direction" in " ".join(res.reasons)
+    # break monotonicity by rewriting the direction, or name none
+    for direction, reason in [("increasing", "values break the declared direction"),
+                              ("sideways", "unknown direction 'sideways'")]:
+        bad = MonCertificate(cert.indices, cert.points, direction, cert.witnesses, cert.case)
+        res = verify_certificate(bad, WEDGE_ZIGZAG, fam)
+        assert not res.ok and res.reasons == (reason,)
     # witness with non-increasing columns
     w = cert.witnesses[-1]
     from gridideals import SparsityWitness
@@ -228,12 +230,9 @@ def test_infinite_limit_is_exact():
     assert not isinstance(INF, float) and type(-INF) is type(INF)
     for x in (Fraction(-10 ** 30), Fraction(7, 3), 0, 10 ** 30):
         assert -INF < x < INF and INF > x > -INF and x != INF and x <= INF
-        assert INF - x == INF and -INF - x == -INF
     assert -(-INF) == INF and INF <= INF and not INF < INF and -INF < INF
     assert sorted([INF, Fraction(1, 2), -INF, 3]) == [-INF, Fraction(1, 2), 3, INF]
     assert len({INF, type(INF)(), -INF, -(-INF)}) == 2
-    with pytest.raises(TypeError):
-        INF - INF
 
 
 def test_nonidentity_jmap():

@@ -175,7 +175,7 @@ def _transfer_digest(t, window):
     a_sets = [sorted(_a_set(t, n)) for n in range(len(t.m))]
     doc = [
         t.m, list(t.stalled), t.adjusted, t.col_bound,
-        a_sets, sorted(t.spi.items()), t.table(window, window), inverse,
+        a_sets, sorted(t.spi.items()), t.table(window), inverse,
     ]
     return json.dumps(doc).encode()
 
