@@ -14,21 +14,23 @@ which occupied columns become whole lines, with the rest partitioned by
 the family's one chain routine.  A chain holds one point per column, so
 the column multiplicities bound every node of the search; for graphs
 that bound is exact, so ED's search stays polynomial.  Sparse chains and
-nondecreasing graphs also have an antichain routine, points that need
-one chain each, as many as the partition has chains by Dilworth's
-theorem, and the search cuts its branches with them too.  The search is
-exponential in the worst case and stops with ``SearchScaleError`` past
-``MAX_SEARCH_WORK`` steps: one per node, and one per point at each node
-that lists the points off its lines.
+nondecreasing graphs also have an antichain scan, a left-to-right pass
+over the columns that finds points needing one chain each, as many as
+the partition has chains by Dilworth's theorem, and the search cuts its
+branches with them too.  The scan's state after the columns a node
+passed over rides in the node's frame, so a node scans only its open
+columns.  The search is exponential in the worst case and stops with
+``SearchScaleError`` past ``MAX_SEARCH_WORK`` steps: one per node, and
+one per point at each leaf and at each node of a family with a scan.
 
 A point set is canonicalised (deduplicated, sorted by (col, row)) once,
-at the public call; the partitions, antichains and line search below it
-take the canonical sequence they are given.
+at the public call; the partitions, scans and line search below it take
+the canonical sequence they are given.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
 from functools import partial
 from itertools import accumulate, zip_longest
 from typing import Iterable, NamedTuple, Sequence
@@ -36,9 +38,9 @@ from typing import Iterable, NamedTuple, Sequence
 from .grid import (
     Point,
     canonical_points,
+    extend_increasing,
     graph_before,
     is_chain,
-    longest_increasing,
     nondecreasing_before,
     ranked,
     sparse_before,
@@ -52,9 +54,9 @@ RANKED_CHAIN = "ranked-chain"
 
 ORACLE_LIMIT = 16
 
-# The line search stops past MAX_SEARCH_WORK steps.  A node that lists the
-# points off its lines costs time linear in the point count, so it is
-# charged that many steps; a node that only takes a line is one step.  The
+# The line search stops past MAX_SEARCH_WORK steps.  A node is one step; a
+# leaf, and a node of a family with an antichain scan, adds one step per
+# point, the nodes that once listed the points off their lines.  The
 # seeded cover ladder needs at most 56,664 steps (18 WR points) and 40-point
 # WR sets in a 28x28 box at most 757,481.
 MAX_SEARCH_WORK = 8_000_000
@@ -73,7 +75,15 @@ class OracleScaleError(ValueError):
 
 
 class SearchScaleError(ValueError):
-    """Raised when the line search of a cover passes its node bound."""
+    """Raised when the line search of a cover passes its work bound.
+
+    ``certificate`` is the best cover the search had found and
+    ``lower_bound`` a cost that no cover of the points goes below."""
+
+    def __init__(self, message, certificate=None, lower_bound=None):
+        super().__init__(message)
+        self.certificate = certificate
+        self.lower_bound = lower_bound
 
 
 _ORDERS = {
@@ -324,26 +334,6 @@ def sparse_chain_cover_number(points) -> int:
     return len(sparse_chain_partition(canonical_points(points)))
 
 
-def sparse_antichain(pts) -> list[Point]:
-    """Canonical points needing one sparse chain each, as many as the
-    partition has chains: those whose spans [col, col+row] contain the
-    busiest column.
-
-    Spans that share a column pairwise overlap, and the proof above
-    finds a column in k+1 spans when first fit opens its (k+1)-th chain.
-    """
-    ends = sorted(p[0] + p[1] for p in pts)
-    busiest, depth, gone = None, 0, 0
-    for k, p in enumerate(pts):
-        if k + 1 < len(pts) and pts[k + 1][0] == p[0]:
-            continue
-        while ends[gone] < p[0]:
-            gone += 1
-        if k + 1 - gone > depth:
-            busiest, depth = p[0], k + 1 - gone
-    return [p for p in pts if p[0] <= busiest <= p[0] + p[1]] if pts else []
-
-
 def _column_groups(pts):
     groups: dict[int, list[Point]] = {}
     for p in pts:
@@ -410,20 +400,6 @@ def nondecreasing_chain_partition(pts) -> list[tuple[Point, ...]]:
     return chains
 
 
-def nondecreasing_antichain(pts) -> list[Point]:
-    """Canonical points needing one nondecreasing graph each, as many as
-    the partition has chains: a longest strictly decreasing run of rows
-    in (column, -row) order, so columns never decrease and rows fall.
-
-    Two points of such a run share a column or have the later one lower;
-    conversely any set of pairwise incomparable points is such a run, so
-    the longest has the size of a largest antichain, which is the chain
-    count by Dilworth's theorem.
-    """
-    pts = sorted(pts, key=lambda p: (p[0], -p[1]))
-    return sorted(pts[i] for i in longest_increasing([-p[1] for p in pts]))
-
-
 def _ranked_chain_partition(pts, rank) -> list[tuple[Point, ...]]:
     """Minimum partition of canonical points into ranked chains: by the
     oracle, except that a set which is one chain needs no search."""
@@ -432,16 +408,120 @@ def _ranked_chain_partition(pts, rank) -> list[tuple[Point, ...]]:
     return [part.members for part in brute_force_cover(pts, (RANKED_CHAIN,), rank=rank).parts]
 
 
+# An antichain scan is built per search from (pts, groups, cols) and has:
+# ``start``, the state before any column; ``passed(state, i)`` and
+# ``taken(state, i)``, the state once column i is passed over or taken as
+# a line, leaving ``state`` as it was; ``passed_size(state)``, the size of
+# the antichain of the passed-over points; and ``antichain(state, i)``,
+# at a node whose last line is column i, the size of the antichain of
+# the points off the lines and its points on each open column from i+1
+# on (the columns past the list hold none).
+
+
+class _SparseScan:
+    """Sparse-chain antichains of the points off the lines, read off the
+    columns left to right.
+
+    Spans [col, col+row] that share a column pairwise overlap, so the
+    points whose spans hold a column need one chain each; their number is
+    the column's depth, and the first column of greatest depth, the
+    busiest, gives an antichain as large as the partition (the proof of
+    ``sparse_chain_cover_number``).  cnt(a, b) counts the points of
+    column a whose spans reach column b >= a.  A column's depth over the
+    points off the lines is its depth over every point less cnt(l, b) for
+    each line l at or before it.  So a state is the greatest depth of the
+    columns passed over and the depths of the columns after the last
+    line, and taking a line subtracts its cnt from the depths after it.
+    """
+
+    def __init__(self, pts, groups, cols):
+        self.n = len(cols)
+        self.cols = cols
+        # ends[a]: the span ends of column a, ascending, so that
+        # cnt(a, b) = len(ends[a]) - bisect_left(ends[a], cols[b])
+        self.ends = [[p[0] + p[1] for p in groups[c]] for c in cols]
+        ends = sorted(p[0] + p[1] for p in pts)
+        upto = accumulate(len(e) for e in self.ends)
+        self.start = (0, [k - bisect_left(ends, c) for c, k in zip(cols, upto)])
+
+    def passed(self, state, i):
+        top, depths = state
+        depth = depths[i - self.n + len(depths)]
+        return (depth, depths) if depth > top else state
+
+    def taken(self, state, i):
+        top, depths = state
+        ends = self.ends[i]
+        after = depths[i + 1 - self.n + len(depths):]
+        return top, [
+            d - len(ends) + bisect_left(ends, c) for d, c in zip(after, self.cols[i + 1:])
+        ]
+
+    def passed_size(self, state):
+        return state[0]
+
+    def antichain(self, state, i):
+        top, depths = state
+        most = max(depths, default=0)
+        if most <= top:
+            return top, []
+        b = i + 1 + depths.index(most)
+        col = self.cols[b]
+        return most, [len(ends) - bisect_left(ends, col) for ends in self.ends[i + 1:b + 1]]
+
+
+class _NondecreasingScan:
+    """Nondecreasing-graph antichains of the points off the lines, read
+    off the columns left to right.
+
+    Two points of a strictly decreasing run of rows in (column, -row)
+    order share a column or have the later one lower; conversely any set
+    of pairwise incomparable points is such a run, so a longest run is as
+    large as the partition by Dilworth's theorem.  Patience sorting
+    (``grid.extend_increasing``) over each column's points, highest row
+    first, finds one; a state is its tails and runs after the columns
+    passed over, labelled by column index, and a node resumes it over the
+    open columns.
+    """
+
+    def __init__(self, pts, groups, cols):
+        self.items = [[(-p[1], a) for p in reversed(groups[c])] for a, c in enumerate(cols)]
+        self.start = ((), ())
+
+    def passed(self, state, i):
+        tails, runs = list(state[0]), list(state[1])
+        extend_increasing(tails, runs, self.items[i])
+        return tails, runs
+
+    def taken(self, state, i):
+        return state
+
+    def passed_size(self, state):
+        return len(state[0])
+
+    def antichain(self, state, i):
+        tails, runs = list(state[0]), list(state[1])
+        for items in self.items[i + 1:]:
+            extend_increasing(tails, runs, items)
+        counts = [0] * (len(self.items) - i - 1)
+        run = runs[-1] if runs else None
+        while run is not None and run[0] > i:
+            counts[run[0] - i - 1] += 1
+            run = run[1]
+        return len(tails), counts
+
+
 def _heavy_counts(mults, floor) -> list[int]:
     """counts[i]: how many of mults[i:] are at least floor."""
     return list(accumulate((m >= floor for m in reversed(mults)), initial=0))[::-1]
 
 
 def _best_lines(
-    pts, partition, antichain, family
+    pts, family, rank=None
 ) -> tuple[tuple[int, ...], list[tuple[Point, ...]]]:
     """Lines on some occupied columns and a chain partition of the other
-    points, together the fewest generators covering the canonical pts.
+    points, together the fewest generators of the family covering the
+    canonical pts.
 
     Line subsets are tried by increasing size, then in ``combinations``
     order, depth first, and a subset replaces the best only at a
@@ -460,20 +540,34 @@ def _best_lines(
     of the points off the lines, less its points on the ``need`` open
     columns holding most of them, and the antichain of the passed-over
     columns.  A subset is partitioned only when its size plus the
-    antichain of the points it leaves is below the best.  Graphs and
-    ranked chains pass no antichain, as the one known for them is the
-    most populated column.  For graphs the multiplicity bound is the
-    cheapest cover below the node, so every node kept has a strictly
-    better leaf below it and the search is polynomial.  A node is one
-    step, and a node that lists the points off its lines adds one step
-    per point; past ``MAX_SEARCH_WORK`` steps the search raises
-    ``SearchScaleError``.
+    antichain of the points it leaves is below the best.
+
+    The antichains come from the family's scan, a left-to-right pass
+    over the columns whose state after the passed-over columns rides in
+    each frame: a frame passes a column over as it moves past it, a
+    child starts from its parent's state before that, and a node resumes
+    the scan over its open columns only.  Graphs and ranked chains have
+    no scan, as the antichain known for them is the most populated
+    column.  For graphs the multiplicity bound is the cheapest cover
+    below the node, so every node kept has a strictly better leaf below
+    it and the search is polynomial.
+
+    A node is one step.  A leaf, and every node of a family with a scan,
+    adds one step per point: such nodes listed the points off their
+    lines before the scans were carried, and the charge is kept so that
+    every search stops where it stopped then.  Past ``MAX_SEARCH_WORK``
+    steps the search raises ``SearchScaleError`` with the best cover
+    found and a lower bound for every cover.
     """
+    kind, partition, scan_of = _FAMILIES[family]
+    if kind == RANKED_CHAIN:
+        partition = partial(partition, rank=rank)
     groups = _column_groups(pts)
     cols = sorted(groups)
     n = len(cols)
     mults = [len(groups[c]) for c in cols]
     by_size = sorted(mults, reverse=True) + [0]
+    scan = scan_of(pts, groups, cols) if scan_of else None
     best_lines, best_chains = (), partition(pts)
     best, work = len(best_chains), 0
     for size in range(1, n + 1):
@@ -481,11 +575,12 @@ def _best_lines(
             continue
         heavy = _heavy_counts(mults, best - size)
         # one frame per node being expanded: its lines, the next column to
-        # take, and the largest multiplicity of the columns passed over
-        frames = [[(), 0, 0]]
+        # take, the largest multiplicity of the columns passed over and the
+        # scan's state after them
+        frames = [[(), 0, 0, scan.start if scan else None]]
         while frames and size + by_size[size] < best:
             frame = frames[-1]
-            lines, i, passed_mult = frame
+            lines, i, passed_mult, state = frame
             need = size - len(lines) - 1
             if i + need >= n:
                 frames.pop()
@@ -493,68 +588,65 @@ def _best_lines(
             frame[1] = i + 1
             if mults[i] > passed_mult:
                 frame[2] = mults[i]
+            if scan:
+                frame[3] = scan.passed(state, i)
             work += 1
             if work > MAX_SEARCH_WORK:
+                # every size below this one is finished, and at least
+                # by_size[s] points stay off any s lines
+                floor = min(s + by_size[s] for s in range(size, n + 1))
                 raise SearchScaleError(
                     f"covering search bound exceeded: {family}, {len(pts)} points"
-                    f" in {n} columns, more than {MAX_SEARCH_WORK} steps"
+                    f" in {n} columns, more than {MAX_SEARCH_WORK} steps",
+                    _certificate(kind, groups, best_lines, best_chains),
+                    min(best, floor),
                 )
             if passed_mult >= best - size or heavy[i + 1] > need:
                 continue
             lines += (cols[i],)
-            if need and antichain is None:
-                frames.append([lines, i + 1, passed_mult])
+            if need and not scan:
+                frames.append([lines, i + 1, passed_mult, None])
                 continue
             work += len(pts)
-            line_set = set(lines)
-            live = [p for p in pts if p[0] not in line_set]
+            if scan:
+                state = scan.taken(state, i)
+                kept, on_open = scan.antichain(state, i)
+                if size + kept - sum(sorted(on_open, reverse=True)[:need]) >= best:
+                    continue
             if need == 0:
-                if antichain is None or size + len(antichain(live)) < best:
-                    chains = partition(live)
-                    if size + len(chains) < best:
-                        best, best_lines, best_chains = size + len(chains), lines, chains
-                        heavy = _heavy_counts(mults, best - size)
+                line_set = set(lines)
+                chains = partition([p for p in pts if p[0] not in line_set])
+                if size + len(chains) < best:
+                    best, best_lines, best_chains = size + len(chains), lines, chains
+                    heavy = _heavy_counts(mults, best - size)
                 continue
-            kept = antichain(live)
-            on_open = Counter(p[0] for p in kept if p[0] > cols[i])
-            takeable = sum(sorted(on_open.values(), reverse=True)[:need])
-            if size + len(kept) - takeable >= best:
-                continue
-            passed = [p for c in cols[:i] if c not in line_set for p in groups[c]]
-            if size + len(antichain(passed)) >= best:
+            if size + scan.passed_size(state) >= best:
                 # the later siblings pass over these columns and more
                 frames.pop()
                 continue
-            frames.append([lines, i + 1, passed_mult])
+            frames.append([lines, i + 1, passed_mult, state])
     return best_lines, best_chains
+
+
+def _certificate(kind, groups, lines, chains) -> CoverCertificate:
+    """The cover by lines on the given columns and chains of the kind."""
+    parts = [CoverPart(VERTICAL_LINE, tuple(groups[c])) for c in sorted(lines)]
+    parts.extend(CoverPart(kind, chain) for chain in chains)
+    return CoverCertificate(tuple(parts))
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
 
-# family -> (chain kind, partition, antichain); the ranked family's
+# family -> (chain kind, partition, antichain scan); the ranked family's
 # partition also takes its rank map
 _FAMILIES = {
-    "WR": (SPARSE_CHAIN, sparse_chain_partition, sparse_antichain),
+    "WR": (SPARSE_CHAIN, sparse_chain_partition, _SparseScan),
     "ED": (GRAPH, _graph_partition, None),
-    "EDup": (NONDECREASING_GRAPH, nondecreasing_chain_partition, nondecreasing_antichain),
+    "EDup": (NONDECREASING_GRAPH, nondecreasing_chain_partition, _NondecreasingScan),
     "WRpi": (RANKED_CHAIN, _ranked_chain_partition, None),
 }
-
-
-def _solve(ideal, pts):
-    """Chain kind, line columns and chains of a minimum cover of pts."""
-    family = ideal if isinstance(ideal, str) else getattr(ideal, "family", None)
-    rank = getattr(ideal, "rank_map", None)
-    if family not in _FAMILIES:
-        raise IdealError(f"no generator system: {family!r}")
-    kind, partition, antichain = _FAMILIES[family]
-    if kind == RANKED_CHAIN:
-        if rank is None:
-            raise IdealError("ranked family without a rank map")
-        partition = partial(partition, rank=rank)
-    return (kind, *_best_lines(pts, partition, antichain, family))
 
 
 def phi(ideal, points) -> tuple[int, CoverCertificate]:
@@ -562,11 +654,15 @@ def phi(ideal, points) -> tuple[int, CoverCertificate]:
 
     Among minimum covers the certificate uses the fewest lines."""
     pts = canonical_points(points)
-    kind, lines, chains = _solve(ideal, pts)
-    groups = _column_groups(pts)
-    parts = [CoverPart(VERTICAL_LINE, tuple(groups[c])) for c in sorted(lines)]
-    parts.extend(CoverPart(kind, chain) for chain in chains)
-    cert = CoverCertificate(tuple(parts))
+    family = ideal if isinstance(ideal, str) else getattr(ideal, "family", None)
+    rank = getattr(ideal, "rank_map", None)
+    if family not in _FAMILIES:
+        raise IdealError(f"no generator system: {family!r}")
+    kind = _FAMILIES[family][0]
+    if kind == RANKED_CHAIN and rank is None:
+        raise IdealError("ranked family without a rank map")
+    lines, chains = _best_lines(pts, family, rank)
+    cert = _certificate(kind, _column_groups(pts), lines, chains)
     return cert.cost, cert
 
 

@@ -6,7 +6,7 @@ Each chain order before(lo, hi) is a strict partial order implying lex order.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import pairwise
+from itertools import count, pairwise
 from typing import Callable, Iterable
 
 Point = tuple[int, int]
@@ -27,27 +27,35 @@ def window_points(side: int) -> list[Point]:
     return [(c, r) for c in range(side) for r in range(side)]
 
 
-def longest_increasing(keys) -> list[int]:
-    """Positions, in order, of a longest strictly increasing run of keys:
-    patience sorting with predecessor links, a key replacing the first
-    tail it does not exceed."""
-    tails: list = []  # tails[k]: the least key ending a run of length k+1
-    ends: list[int] = []  # ends[k]: its position
-    prev: list[int] = []
-    for i, key in enumerate(keys):
+def extend_increasing(tails: list, runs: list, items) -> None:
+    """Resume patience sorting over (key, label) items, in place.
+
+    tails[k] is the least key ending a strictly increasing run of length
+    k+1 and runs[k] that run's labels as a chain (last label, chain of the
+    rest), with None for the empty chain.  A key replaces the first tail
+    it does not exceed, so runs[-1] is a longest run, and sorting a
+    sequence in two pieces gives the chains of sorting it whole."""
+    for key, label in items:
         k = bisect_left(tails, key)
+        run = (label, runs[k - 1] if k else None)
         if k == len(tails):
             tails.append(key)
-            ends.append(i)
+            runs.append(run)
         else:
-            tails[k], ends[k] = key, i
-        prev.append(ends[k - 1] if k else -1)
-    run = []
-    i = ends[-1] if ends else -1
-    while i != -1:
-        run.append(i)
-        i = prev[i]
-    return run[::-1]
+            tails[k], runs[k] = key, run
+
+
+def longest_increasing(keys) -> list[int]:
+    """Positions, in order, of a longest strictly increasing run of keys."""
+    tails: list = []
+    runs: list = []
+    extend_increasing(tails, runs, zip(keys, count()))
+    positions = []
+    run = runs[-1] if runs else None
+    while run is not None:
+        positions.append(run[0])
+        run = run[1]
+    return positions[::-1]
 
 
 def sparse_before(lo: Point, hi: Point) -> bool:

@@ -6,6 +6,7 @@ import contextlib
 import io
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,8 +21,9 @@ from gridideals import (
     pick_outside,
     point_sum,
 )
-from gridideals import cli
-from gridideals.covering import KINDS, _column_groups, _order
+from gridideals import cli, covering
+from gridideals.covering import KINDS, _column_groups, _heavy_counts, _order
+from gridideals.grid import Point, longest_increasing
 
 
 def run_cli(argv, stdin=""):
@@ -134,6 +136,139 @@ def reference_best_lines(pts, partition):
             if best is None or size + len(chains) < best:
                 best = size + len(chains)
                 best_lines, best_chains = chosen, chains
+    return best_lines, best_chains
+
+
+def sparse_antichain(pts) -> list[Point]:
+    """Canonical points needing one sparse chain each, as many as the
+    partition has chains: those whose spans [col, col+row] contain the
+    busiest column.  The reference covering's sparse-chain scan must
+    match.
+
+    Spans that share a column pairwise overlap, and the proof of
+    covering.sparse_chain_cover_number finds a column in k+1 spans when
+    first fit opens its (k+1)-th chain.
+    """
+    ends = sorted(p[0] + p[1] for p in pts)
+    busiest, depth, gone = None, 0, 0
+    for k, p in enumerate(pts):
+        if k + 1 < len(pts) and pts[k + 1][0] == p[0]:
+            continue
+        while ends[gone] < p[0]:
+            gone += 1
+        if k + 1 - gone > depth:
+            busiest, depth = p[0], k + 1 - gone
+    return [p for p in pts if p[0] <= busiest <= p[0] + p[1]] if pts else []
+
+
+def nondecreasing_antichain(pts) -> list[Point]:
+    """Canonical points needing one nondecreasing graph each, as many as
+    the partition has chains: a longest strictly decreasing run of rows
+    in (column, -row) order, so columns never decrease and rows fall.
+
+    Two points of such a run share a column or have the later one lower;
+    conversely any set of pairwise incomparable points is such a run, so
+    the longest has the size of a largest antichain, which is the chain
+    count by Dilworth's theorem.  The reference covering's
+    nondecreasing-graph scan must match.
+    """
+    pts = sorted(pts, key=lambda p: (p[0], -p[1]))
+    return sorted(pts[i] for i in longest_increasing([-p[1] for p in pts]))
+
+
+def reference_line_search(
+    pts, partition, antichain, family
+) -> tuple[tuple[int, ...], list[tuple[Point, ...]]]:
+    """covering._best_lines as it was before its antichain scans were
+    carried down the frames: every node rebuilds its antichains from the
+    points.  The reference the search's answers and steps must match.
+
+    Lines on some occupied columns and a chain partition of the other
+    points, together the fewest generators covering the canonical pts.
+
+    Line subsets are tried by increasing size, then in ``combinations``
+    order, depth first, and a subset replaces the best only at a
+    strictly lower cost, so among minimum covers the first with the
+    fewest lines wins.  A node has fixed a prefix of its subset: the
+    columns taken as lines, the columns passed over before the last of
+    them, and ``need`` lines still to take from the open columns after
+    it.  Three lower bounds hold for every cover below a node, and a
+    node whose bound reaches the best cost is cut: it holds no subset
+    that could replace the best.  The first counts multiplicities, at
+    every node and at the root of each size: a chain holds one point
+    per column and the ``need`` lines take at most ``need`` open
+    columns, so the largest multiplicity of the passed-over columns and
+    the (need+1)-th largest of the open ones stay on chains.  The other
+    two count antichains, whose points need a chain each: the antichain
+    of the points off the lines, less its points on the ``need`` open
+    columns holding most of them, and the antichain of the passed-over
+    columns.  A subset is partitioned only when its size plus the
+    antichain of the points it leaves is below the best.  Graphs and
+    ranked chains pass no antichain, as the one known for them is the
+    most populated column.  For graphs the multiplicity bound is the
+    cheapest cover below the node, so every node kept has a strictly
+    better leaf below it and the search is polynomial.  A node is one
+    step, and a node that lists the points off its lines adds one step
+    per point; past ``MAX_SEARCH_WORK`` steps the search raises
+    ``SearchScaleError``.
+    """
+    groups = _column_groups(pts)
+    cols = sorted(groups)
+    n = len(cols)
+    mults = [len(groups[c]) for c in cols]
+    by_size = sorted(mults, reverse=True) + [0]
+    best_lines, best_chains = (), partition(pts)
+    best, work = len(best_chains), 0
+    for size in range(1, n + 1):
+        if size + by_size[size] >= best:
+            continue
+        heavy = _heavy_counts(mults, best - size)
+        # one frame per node being expanded: its lines, the next column to
+        # take, and the largest multiplicity of the columns passed over
+        frames = [[(), 0, 0]]
+        while frames and size + by_size[size] < best:
+            frame = frames[-1]
+            lines, i, passed_mult = frame
+            need = size - len(lines) - 1
+            if i + need >= n:
+                frames.pop()
+                continue
+            frame[1] = i + 1
+            if mults[i] > passed_mult:
+                frame[2] = mults[i]
+            work += 1
+            if work > covering.MAX_SEARCH_WORK:
+                raise covering.SearchScaleError(
+                    f"covering search bound exceeded: {family}, {len(pts)} points"
+                    f" in {n} columns, more than {covering.MAX_SEARCH_WORK} steps"
+                )
+            if passed_mult >= best - size or heavy[i + 1] > need:
+                continue
+            lines += (cols[i],)
+            if need and antichain is None:
+                frames.append([lines, i + 1, passed_mult])
+                continue
+            work += len(pts)
+            line_set = set(lines)
+            live = [p for p in pts if p[0] not in line_set]
+            if need == 0:
+                if antichain is None or size + len(antichain(live)) < best:
+                    chains = partition(live)
+                    if size + len(chains) < best:
+                        best, best_lines, best_chains = size + len(chains), lines, chains
+                        heavy = _heavy_counts(mults, best - size)
+                continue
+            kept = antichain(live)
+            on_open = Counter(p[0] for p in kept if p[0] > cols[i])
+            takeable = sum(sorted(on_open.values(), reverse=True)[:need])
+            if size + len(kept) - takeable >= best:
+                continue
+            passed = [p for c in cols[:i] if c not in line_set for p in groups[c]]
+            if size + len(antichain(passed)) >= best:
+                # the later siblings pass over these columns and more
+                frames.pop()
+                continue
+            frames.append([lines, i + 1, passed_mult])
     return best_lines, best_chains
 
 

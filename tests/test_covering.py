@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import sys
+from collections import Counter
 from functools import partial
 from itertools import combinations
 
@@ -33,10 +34,8 @@ from gridideals.covering import (
     RANKED_CHAIN,
     CoverCertificate,
     CoverPart,
-    nondecreasing_antichain,
     nondecreasing_chain_partition,
     part_is_valid,
-    sparse_antichain,
     sparse_chain_partition,
 )
 from gridideals.grid import (
@@ -48,12 +47,15 @@ from gridideals.grid import (
     sparse_before,
 )
 from support import (
+    nondecreasing_antichain,
     random_points,
     random_sparse_chain,
     random_witness_family,
     reference_best_lines,
     reference_ed_lines,
+    reference_line_search,
     reference_oracle_dp,
+    sparse_antichain,
     stack_depth,
 )
 
@@ -484,23 +486,15 @@ def test_antichains_are_incomparable_and_as_large_as_the_partitions():
             assert _pairwise_incomparable(ranked(rank), column)
 
 
-_FAMILY_ROUTINES = {
-    "WR": (sparse_chain_partition, sparse_antichain),
-    "ED": (covering._graph_partition, None),
-    "EDup": (nondecreasing_chain_partition, nondecreasing_antichain),
-}
-
-
 @settings(max_examples=60, deadline=None)
 @given(
-    family=st.sampled_from(sorted(_FAMILY_ROUTINES)),
+    family=st.sampled_from(["ED", "EDup", "WR"]),
     pts=st.sets(st.tuples(st.integers(0, 10), st.integers(0, 11)), min_size=0, max_size=18),
 )
 def test_line_search_matches_enumeration(family, pts):
     pts = tuple(sorted(pts))
-    partition, antichain = _FAMILY_ROUTINES[family]
-    got = covering._best_lines(pts, partition, antichain, family)
-    assert got == reference_best_lines(pts, partition)
+    partition = covering._FAMILIES[family][1]
+    assert covering._best_lines(pts, family) == reference_best_lines(pts, partition)
 
 
 @settings(max_examples=40, deadline=None)
@@ -512,8 +506,73 @@ def test_ranked_line_search_matches_enumeration(rank_name, pts):
     pts = tuple(sorted(pts))
     rank = RANK_CATALOG[rank_name]
     partition = partial(covering._ranked_chain_partition, rank=rank)
-    got = covering._best_lines(pts, partition, None, "WRpi")
+    got = covering._best_lines(pts, "WRpi", rank)
     assert got == reference_best_lines(pts, partition)
+
+
+# the families with an antichain scan, and the routines it replaced
+_SCANNED = {
+    "WR": (covering._SparseScan, sparse_chain_partition, sparse_antichain),
+    "EDup": (covering._NondecreasingScan, nondecreasing_chain_partition, nondecreasing_antichain),
+}
+
+
+def test_scans_match_the_antichains_they_replace():
+    # a random line prefix: its last line at column index i, and the
+    # columns before i that are not lines passed over, fed to the scan in
+    # the order the search feeds them
+    rng = random.Random(97)
+    for scan_of, _, antichain in _SCANNED.values():
+        for _ in range(500):
+            pts = random_points(rng, rng.randint(1, 14), rng.randint(1, 14), 30)
+            if not pts:
+                continue
+            groups = covering._column_groups(pts)
+            cols = sorted(groups)
+            i = rng.randrange(len(cols))
+            lines = {j for j in range(i) if rng.random() < 0.4} | {i}
+            scan = scan_of(pts, groups, cols)
+            state = scan.start
+            for j in range(i + 1):
+                state = (scan.taken if j in lines else scan.passed)(state, j)
+            live = [p for p in pts if cols.index(p[0]) not in lines]
+            passed = [p for p in live if p[0] < cols[i]]
+            kept = antichain(live)
+            size, counts = scan.antichain(state, i)
+            assert size == len(kept), (antichain.__name__, pts, lines)
+            on_open = {cols[i + 1 + k]: c for k, c in enumerate(counts) if c}
+            assert on_open == Counter(p[0] for p in kept if p[0] > cols[i]), (pts, lines)
+            assert scan.passed_size(state) == len(antichain(passed)), (pts, lines)
+
+
+def _search_steps(monkeypatch, search, hi):
+    """The least MAX_SEARCH_WORK up to hi under which search completes,
+    found by bisection, and its answer there: the steps the search takes."""
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        monkeypatch.setattr(covering, "MAX_SEARCH_WORK", mid)
+        try:
+            search()
+            hi = mid
+        except covering.SearchScaleError:
+            lo = mid + 1
+    monkeypatch.setattr(covering, "MAX_SEARCH_WORK", lo)
+    return lo, search()
+
+
+def test_line_search_takes_the_reference_steps(monkeypatch):
+    # the carried scans must cut the same nodes as antichains rebuilt at
+    # every node, so every search stops at the same bound
+    rng = random.Random(89)
+    bound = covering.MAX_SEARCH_WORK
+    for family, (_, partition, antichain) in _SCANNED.items():
+        for _ in range(150):
+            pts = random_points(rng, rng.randint(1, 14), rng.randint(1, 14), 24)
+            got = _search_steps(monkeypatch, lambda: covering._best_lines(pts, family), bound)
+            want = _search_steps(
+                monkeypatch, lambda: reference_line_search(pts, partition, antichain, family), bound)
+            assert got == want, (family, pts)
 
 
 def _contract_results(ideal, kind, rank, pts):
@@ -562,11 +621,31 @@ def test_phi_canonicalises_once(monkeypatch):
 
 def test_line_search_node_bound(monkeypatch):
     pts = random.Random(61).sample([(c, r) for c in range(12) for r in range(12)], 30)
+    cost = phi(WR, pts)[0]
     monkeypatch.setattr(covering, "MAX_SEARCH_WORK", 90)
     message = f"covering .*: WR, 30 points in {len({p[0] for p in pts})} columns, more than 90 steps"
-    with pytest.raises(covering.SearchScaleError, match=message):
+    with pytest.raises(covering.SearchScaleError, match=message) as raised:
         phi(WR, pts)
     assert issubclass(covering.SearchScaleError, ValueError)
+    assert raised.value.certificate.validate(pts)
+    assert raised.value.lower_bound <= cost <= raised.value.certificate.cost
+    # under every bound that stops a search, the error holds a valid cover
+    # no cheaper than the optimum and a bound no dearer than it
+    pool = [(c, r) for c in range(12) for r in range(12)]
+    for family in ("WR", "EDup"):
+        for seed in range(4):
+            pts = random.Random(f"partial-{family}-{seed}").sample(pool, 16)
+            cost = oracle_cover_cost(pts, (VERTICAL_LINE, covering._FAMILIES[family][0]))
+            for bound in (0, 10, 30, 100, 300):
+                monkeypatch.setattr(covering, "MAX_SEARCH_WORK", bound)
+                try:
+                    phi(family, pts)
+                except covering.SearchScaleError as err:
+                    cert, lower = err.certificate, err.lower_bound
+                    assert cert.validate(pts), (family, pts, bound)
+                    assert lower <= cost <= cert.cost, (family, pts, bound)
+                    kinds = {part.kind for part in cert.parts} - {VERTICAL_LINE}
+                    assert kinds <= {covering._FAMILIES[family][0]}
 
 
 @pytest.mark.parametrize("family", ["WR", "ED", "EDup"])
